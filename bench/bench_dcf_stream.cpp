@@ -44,6 +44,7 @@
 #include "crypto/aes.h"
 #include "crypto/modes.h"
 #include "crypto/sha1.h"
+#include "crypto/sha1_accel.h"
 #include "dcf/dcf.h"
 #include "dcf/dcf_reader.h"
 #include "pki/authority.h"
@@ -331,8 +332,10 @@ int main(int argc, char** argv) {
                                         : 96u * 1024 * 1024;
 
   const bool aesni = crypto::Aes(Bytes(16, 0)).has_accel();
-  std::printf("=== DCF content-path benchmark (AES-NI %s) ===\n\n",
-              aesni ? "on" : "off");
+  const bool shani = crypto::accel::sha1_cpu_supported();
+  std::printf(
+      "=== DCF content-path benchmark (AES-NI %s, SHA-1 core: %s) ===\n\n",
+      aesni ? "on" : "off", shani ? "SHA-NI" : "portable");
 
   Fixture fx;
   std::vector<SizeResult> results;
@@ -374,7 +377,8 @@ int main(int argc, char** argv) {
        << "  \"config\": {\"rsa_bits\": " << kRsaBits
        << ", \"chunk_bytes\": " << kChunkBytes
        << ", \"quick\": " << (quick ? "true" : "false")
-       << ", \"aesni\": " << (aesni ? "true" : "false") << "},\n"
+       << ", \"aesni\": " << (aesni ? "true" : "false")
+       << ", \"shani\": " << (shani ? "true" : "false") << "},\n"
        << "  \"sizes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];

@@ -27,14 +27,17 @@ Five rule classes, each encoding an invariant the test suite cannot see
                        parse-path claim against regression by drive-by
                        edits.
 
-  mutex-header         No header under src/ declares raw std::mutex /
-                       std::shared_mutex / std::condition_variable
-                       state: lock-bearing types use OrderedMutex (rank
-                       checked, TSA capability) and condition_variable_any,
-                       and a header that declares an OrderedMutex member
-                       must GUARDED_BY-annotate at least one field.
-                       common/ordered_mutex.h + thread_annotations.h are
-                       the allowlisted foundations.
+  mutex-header         No header or source file under src/ names raw
+                       std::mutex / std::shared_mutex /
+                       std::condition_variable: lock-bearing code uses
+                       OrderedMutex (rank checked, TSA capability) and
+                       condition_variable_any, so a function-local
+                       mutex in a .cpp cannot escape the rank table
+                       either. A header that declares an OrderedMutex
+                       member must GUARDED_BY-annotate at least one
+                       field. common/ordered_mutex.h +
+                       thread_annotations.h are the allowlisted
+                       foundations.
 
   catalog-drift        The literal site names wired through
                        failpoint::fire/check/injected_failure (incl. the
@@ -265,9 +268,11 @@ def check_mutex_header(path: str, lines: list[str]) -> list[Finding]:
         if m:
             findings.append(Finding(
                 path, i + 1, "mutex-header",
-                f"raw std::{m.group(1)} in a public header — use "
+                f"raw std::{m.group(1)} under src/ — use "
                 f"OrderedMutex/OrderedSharedMutex (rank-checked, TSA "
                 f"capability) or std::condition_variable_any"))
+    if not path.endswith(".h"):
+        return findings  # a .cpp's guarded state may live in its header
     has_member = any(ORDERED_MEMBER_RE.search(c) for c in text_code)
     has_guard = any(GUARDED_RE.search(l) for l in lines)
     if has_member and not has_guard:
@@ -400,8 +405,7 @@ def run_lint(repo: pathlib.Path) -> list[Finding]:
             findings += check_failpoint_adjacency(path, lines)
         if path in WIRE_FILES:
             findings += check_wire_alloc(path, lines)
-        if path.startswith("src/") and path.endswith(".h") \
-                and path not in MUTEX_HEADER_ALLOWLIST:
+        if path.startswith("src/") and path not in MUTEX_HEADER_ALLOWLIST:
             findings += check_mutex_header(path, lines)
 
     status = files.get("src/common/status.h", "")
@@ -509,6 +513,15 @@ def self_test() -> list[str]:
                "h.h", ["  OrderedMutex mu_{LockRank::kRng, \"x\"};",
                        "  int v_ = 0;"]), True,
            "OrderedMutex with no GUARDED_BY")
+    expect("mutex-header",
+           check_mutex_header(
+               "s.cpp", ["std::mutex& slot_mutex() {",
+                         "  static std::mutex m;", "  return m;", "}"]),
+           True, "function-local raw std::mutex in a .cpp")
+    expect("mutex-header",
+           check_mutex_header(
+               "s.cpp", ["  static OrderedMutex m{LockRank::kRng, \"x\"};"]),
+           False, "OrderedMutex in a .cpp")
 
     # catalog-drift -------------------------------------------------------
     fp_tmpl = ("const std::vector<SiteInfo>& catalog() {{\n"

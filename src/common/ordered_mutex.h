@@ -27,6 +27,7 @@
 //    60   pki.chain_verdict    ChainVerifier::State::mu (shared)
 //    70   bigint.mont_stripe   MontCache stripe mutexes (8 stripes)
 //    80   common.rng           LockedRng::mu_
+//    90   rsa.crt_slot         PrivateKey CRT-context slots (rsa/rsa.cpp)
 //   110   net.stop             RiServer::stop_mu_
 //   120   net.conns            RiServer::conns_mu_
 //   130   net.conn             RiServer::Conn::mu (per connection)
@@ -43,7 +44,7 @@
 // tests/test_lock_order.cpp pins the corrected order.
 //
 // Server workers hold NO net.* lock while calling RightsIssuer::handle,
-// so the net band (110–150) never nests into the RI band (10–80); both
+// so the net band (110–150) never nests into the RI band (10–90); both
 // bands may precede common.failpoint (200).
 //
 // Release builds alias OrderedMutex to the unchecked variant: lock() is
@@ -70,6 +71,7 @@ enum class LockRank : std::uint16_t {
   kChainVerdict = 60,
   kMontStripe = 70,
   kRng = 80,
+  kRsaCrtSlot = 90,
   kNetStop = 110,
   kNetConns = 120,
   kNetConn = 130,

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "crypto/sha1_accel.h"
 
 namespace omadrm::crypto {
 
@@ -12,31 +13,20 @@ inline std::uint32_t rotl(std::uint32_t v, int s) {
   return (v << s) | (v >> (32 - s));
 }
 
-}  // namespace
-
-Sha1::Sha1() { reset(); }
-
-void Sha1::reset() {
-  state_ = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u, 0xc3d2e1f0u};
-  buffer_len_ = 0;
-  total_len_ = 0;
-  finished_ = false;
-}
-
 // Fully unrolled compression over a 16-word rolling message schedule.
 // The canonicalization/digest hot path of the wire layer (every ROAP
 // signature covers a freshly serialized document) hashes short messages
 // constantly; unrolling removes the per-round branch on the round index
 // and the 80-word schedule array, and the register rotation is expressed
 // by argument rotation so the compiler keeps a..e in registers.
-void Sha1::process_block(const std::uint8_t* block) {
+void compress(std::uint32_t state[5], const std::uint8_t* block) {
   std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = load_be32(block + 4 * i);
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4];
 
   auto sched = [&w](int i) {
     const std::uint32_t v = rotl(w[(i - 3) & 15] ^ w[(i - 8) & 15] ^
@@ -113,11 +103,38 @@ void Sha1::process_block(const std::uint8_t* block) {
 #undef SHA1_R2
 #undef SHA1_R3
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+}
+
+// Every run of whole blocks goes to one core, picked on first use: the
+// SHA-NI engine when the CPU has it, the portable core otherwise.
+void compress_blocks(std::uint32_t state[5], const std::uint8_t* data,
+                     std::size_t n_blocks) {
+  static const auto core =
+      accel::sha1_cpu_supported() ? accel::sha1_blocks : sha1_blocks_portable;
+  core(state, data, n_blocks);
+}
+
+}  // namespace
+
+void sha1_blocks_portable(std::uint32_t state[5], const std::uint8_t* data,
+                          std::size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, data += Sha1::kBlockSize) {
+    compress(state, data);
+  }
+}
+
+Sha1::Sha1() { reset(); }
+
+void Sha1::reset() {
+  state_ = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u, 0xc3d2e1f0u};
+  buffer_len_ = 0;
+  total_len_ = 0;
+  finished_ = false;
 }
 
 void Sha1::update(ByteView data) {
@@ -135,13 +152,14 @@ void Sha1::update(ByteView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
+      compress_blocks(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  const std::size_t n_blocks = (data.size() - offset) / kBlockSize;
+  if (n_blocks > 0) {
+    compress_blocks(state_.data(), data.data() + offset, n_blocks);
+    offset += n_blocks * kBlockSize;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -38,13 +39,18 @@ class Sha1 {
   static Bytes hash(ByteView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 5> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
   bool finished_ = false;
 };
+
+/// The portable compression core: folds `n_blocks` whole 64-byte blocks
+/// into `state` (H0..H4). Sha1 runs it on hosts without SHA-NI; it shares
+/// its signature with accel::sha1_blocks so tests can compare the two
+/// cores block for block.
+void sha1_blocks_portable(std::uint32_t state[5], const std::uint8_t* data,
+                          std::size_t n_blocks);
 
 }  // namespace omadrm::crypto

@@ -384,8 +384,10 @@ void RiServer::accept_ready() {
       active = conns_.size();
     }
     if (active >= config_.max_connections) {
-      ::close(fd);
+      // Count before closing: the peer may read the counter as soon as
+      // it sees EOF.
       stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+      ::close(fd);
       continue;
     }
     set_nonblocking(fd);

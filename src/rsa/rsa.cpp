@@ -1,10 +1,9 @@
 #include "rsa/rsa.h"
 
-#include <mutex>
-
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 #include "common/error.h"
+#include "common/ordered_mutex.h"
 
 namespace omadrm::rsa {
 
@@ -67,9 +66,10 @@ namespace {
 
 // Guards every PrivateKey's lazy CRT-context slots. One process-wide
 // mutex is enough: the critical sections are pointer reads/writes, dwarfed
-// by the exponentiations around them.
-std::mutex& crt_slot_mutex() {
-  static std::mutex m;
+// by the exponentiations around them. Rank kRsaCrtSlot sits above every
+// lock a signing caller may hold; nothing is acquired while it is held.
+OrderedMutex& crt_slot_mutex() {
+  static OrderedMutex m{LockRank::kRsaCrtSlot, "rsa.crt_slot"};
   return m;
 }
 
@@ -81,11 +81,11 @@ std::mutex& crt_slot_mutex() {
 std::shared_ptr<const bigint::MontgomeryCtx> crt_prime_ctx(
     std::shared_ptr<const bigint::MontgomeryCtx>& slot, const BigInt& prime) {
   {
-    std::lock_guard<std::mutex> lock(crt_slot_mutex());
+    MutexLock lock(crt_slot_mutex());
     if (slot && slot->modulus() == prime) return slot;
   }
   auto ctx = std::make_shared<const bigint::MontgomeryCtx>(prime);
-  std::lock_guard<std::mutex> lock(crt_slot_mutex());
+  MutexLock lock(crt_slot_mutex());
   if (slot && slot->modulus() == prime) return slot;
   slot = ctx;
   return ctx;

@@ -109,8 +109,8 @@ TEST(LockOrderDeath, AbortMessageCarriesBothBacktraces) {
 
 TEST(LockOrder, FullCanonicalChainNests) {
   // shard < stripe < meta < store.front < store.backing < verdict <
-  // mont < rng < net ranks < failpoint: one nested walk through every
-  // rank in the table must not trip the validator.
+  // mont < rng < crt_slot < net ranks < failpoint: one nested walk
+  // through every rank in the table must not trip the validator.
   CheckedOrderedMutex shard{LockRank::kRiShard, "t.shard"};
   CheckedOrderedMutex stripe{LockRank::kRiDomainStripe, "t.stripe"};
   CheckedOrderedMutex meta{LockRank::kRiMeta, "t.meta"};
@@ -119,6 +119,7 @@ TEST(LockOrder, FullCanonicalChainNests) {
   CheckedOrderedMutex verdict{LockRank::kChainVerdict, "t.verdict"};
   CheckedOrderedMutex mont{LockRank::kMontStripe, "t.mont"};
   CheckedOrderedMutex rng{LockRank::kRng, "t.rng"};
+  CheckedOrderedMutex crt{LockRank::kRsaCrtSlot, "t.crt_slot"};
   CheckedOrderedMutex fp{LockRank::kFailpoint, "t.failpoint"};
   {
     CheckedMutexLock l1(shard);
@@ -129,7 +130,8 @@ TEST(LockOrder, FullCanonicalChainNests) {
     CheckedMutexLock l6(verdict);
     CheckedMutexLock l7(mont);
     CheckedMutexLock l8(rng);
-    CheckedMutexLock l9(fp);
+    CheckedMutexLock l9(crt);
+    CheckedMutexLock l10(fp);
     fp.assert_held();
     shard.assert_held();
   }
