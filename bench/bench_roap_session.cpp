@@ -16,7 +16,10 @@
 //                traffic — serialize / parse / base64 / sha1 / wrap /
 //                from_wire — plus the RSA sign/verify legs, so the
 //                cost split between crypto and message handling is
-//                explicit instead of inferred.
+//                explicit instead of inferred. The header line and
+//                the JSON config name the Montgomery kernel in use
+//                ("adx"); the JSON also carries the allocations of one
+//                pss_sign and one pss_verify.
 //   allocations  a global operator-new counter. The wire path
 //                (streaming serialize into reused buffers, zero-copy
 //                arena parse, pooled envelopes) must perform ZERO heap
@@ -45,6 +48,7 @@
 
 #include "agent/drm_agent.h"
 #include "agent/sessions.h"
+#include "bigint/mont_accel.h"
 #include "bigint/mont_cache.h"
 #include "common/base64.h"
 #include "common/random.h"
@@ -433,8 +437,10 @@ int main(int argc, char** argv) {
   const std::size_t fleet_agents = quick ? 8 : 64;
   const std::size_t fleet_acqs = quick ? 2 : 4;
 
-  std::printf("=== ROAP session benchmark (RSA-%zu, 3-cert chain) ===\n\n",
-              kRsaBits);
+  const bool adx = bigint::accel::mont_cpu_supported();
+  std::printf("=== ROAP session benchmark (RSA-%zu, 3-cert chain, "
+              "Montgomery kernel: %s) ===\n\n",
+              kRsaBits, adx ? "MULX/ADX" : "portable");
   Session s;
 
   // Registration, cold: chain-verdict cache empty, Montgomery contexts
@@ -541,7 +547,7 @@ int main(int argc, char** argv) {
       "  \"bench\": \"roap_session\",\n"
       "  \"config\": {\"rsa_bits\": %zu, \"chain_len\": 3, "
       "\"iterations\": %zu, \"quick\": %s, \"transport\": "
-      "\"envelope_wire\"},\n"
+      "\"envelope_wire\", \"adx\": %s},\n"
       "  \"registration_first_ms\": %.3f,\n"
       "  \"registration_repeat_ms\": %.3f,\n"
       "  \"ro_acquisition\": {\n"
@@ -560,6 +566,7 @@ int main(int argc, char** argv) {
       "%.3f, \"open\": %.3f, \"pss_sign\": %.3f, \"pss_verify\": %.3f},\n"
       "  \"wire_allocs_per_op\": {\"serialize\": %.2f, \"parse\": %.2f, "
       "\"wrap\": %.2f, \"from_wire\": %.2f},\n"
+      "  \"rsa_allocs_per_op\": {\"pss_sign\": %.2f, \"pss_verify\": %.2f},\n"
       "  \"multi_agent\": {\"agents\": %zu, \"acquisitions_per_agent\": "
       "%zu, \"registration_ms_avg\": %.3f, \"acquisition_ms_avg\": %.4f, "
       "\"acquisition_ms_p50\": %.4f, \"acquisition_ms_p95\": %.4f, "
@@ -567,7 +574,8 @@ int main(int argc, char** argv) {
       "  \"cache_stats\": {\"mont_hits\": %llu, \"mont_misses\": %llu, "
       "\"chain_hits\": %llu, \"chain_misses\": %llu}\n"
       "}\n",
-      kRsaBits, iterations, quick ? "true" : "false", registration_first_ms,
+      kRsaBits, iterations, quick ? "true" : "false", adx ? "true" : "false",
+      registration_first_ms,
       registration_repeat_ms, cached.full_ms_avg, cached.full_ms.p50,
       cached.full_ms.p95, cached.verify_ms_avg, cached.allocs_per_exchange,
       uncached.full_ms_avg, uncached.verify_ms_avg, no_context_full_ms,
@@ -577,7 +585,7 @@ int main(int argc, char** argv) {
       stages.open.us_per_op, stages.sign.us_per_op, stages.verify.us_per_op,
       stages.serialize.allocs_per_op, stages.parse.allocs_per_op,
       stages.wrap.allocs_per_op, stages.from_wire.allocs_per_op,
-      fleet.agents, fleet.acquisitions_per_agent, fleet.registration_ms_avg,
+      stages.sign.allocs_per_op, stages.verify.allocs_per_op, fleet.agents, fleet.acquisitions_per_agent, fleet.registration_ms_avg,
       fleet.acquisition_ms_avg, fleet.acquisition_ms.p50,
       fleet.acquisition_ms.p95, fleet.exchanges_per_s,
       fleet.allocs_per_exchange,

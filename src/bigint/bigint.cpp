@@ -577,12 +577,13 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
     throw Error(ErrorKind::kRange, "mod_exp with negative exponent");
   }
   if (m == BigInt(std::uint64_t{1})) return BigInt{};
-  if (m.is_odd()) {
+  if (m.is_odd() && m.bit_length() <= 64 * kMontMaxWords) {
     // Shared context: R^2 mod m and m' are computed once per modulus and
     // reused across every exponentiation against the same key.
     return shared_montgomery_ctx(m)->mod_exp(base.mod(m), exp);
   }
-  // Generic square-and-multiply for even moduli (rare in practice).
+  // Generic square-and-multiply for even moduli and moduli too wide for
+  // the Montgomery scratch (rare in practice).
   BigInt result(std::uint64_t{1});
   BigInt b = base.mod(m);
   std::size_t bits = exp.bit_length();

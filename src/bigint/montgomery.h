@@ -7,17 +7,28 @@
 // RSA-1024 operations cheap enough to run thousands of times in the test
 // suite and benchmarks.
 //
-// Internally the context computes on 64-bit words (128-bit products), a
-// 4x multiply-count reduction over the BigInt library's 32-bit limbs, and
-// every exponentiation runs on a fixed set of scratch buffers — after the
-// initial conversion no Montgomery multiply touches the heap. The BigInt
-// public surface is unchanged; pack/unpack at the call boundary is O(n).
+// Internally the context computes on 64-bit words, and every multiply and
+// exponentiation runs on fixed-capacity stack scratch: after the BigInt
+// conversion at the call boundary nothing touches the heap. The multiply
+// kernel is chosen once per context from the modulus width and a one-time
+// cpuid test: 8- and 16-word moduli (512-bit CRT halves, 1024-bit keys)
+// run on the MULX/ADX row kernel of bigint/mont_accel.h when the CPU has
+// it, everything else on mont_mul_portable below. Both give identical
+// results.
+//
+// Exponentiation by a long exponent is constant-time with respect to the
+// exponent: the window count comes from the modulus length, every window
+// multiplies (by R mod m for a zero window), the table lookup reads all
+// 2^w entries under a mask, and the final subtraction of every product is
+// branch-free. Exponents of at most kPlainExpBits bits (RSA public
+// exponents) take a short square-and-multiply path instead.
 //
 // Contexts are expensive to build (R^2 mod m needs a full division) and
 // cheap to reuse; see mont_cache.h for the process-wide keyed cache that
 // amortizes construction across repeated operations on the same modulus.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,31 +36,31 @@
 
 namespace omadrm::bigint {
 
-class MontgomeryCtx;
+/// Widest modulus a MontgomeryCtx accepts, in 64-bit words (8192 bits).
+/// It sizes the stack scratch of every multiply and exponentiation.
+inline constexpr std::size_t kMontMaxWords = 128;
 
-/// Precomputed fixed-window powers of one base under one modulus.
-///
-/// Exponentiating a *fixed* base repeatedly (e.g. a stored generator, or a
-/// benchmark hammering one operand) rebuilds the same 2^w-entry window
-/// table on every call; capturing it once in a PowerTable removes those
-/// 2^w - 2 Montgomery multiplications per exponentiation. Built by
-/// MontgomeryCtx::make_power_table and only valid with that context.
-class PowerTable {
- public:
-  PowerTable() = default;
+/// Runtime-width CIOS Montgomery product on 64-bit words:
+/// r = a * b * 2^(-64 n) mod m, for a, b < m, odd m of n words
+/// (1 <= n <= kMontMaxWords) and m_prime = -m^-1 mod 2^64. Fully reduced;
+/// r may alias a or b. Data-independent timing.
+void mont_mul_portable(std::uint64_t* r, const std::uint64_t* a,
+                       const std::uint64_t* b, const std::uint64_t* m,
+                       std::uint64_t m_prime, std::size_t n);
 
-  const BigInt& base() const { return base_; }
-  const BigInt& modulus() const { return modulus_; }
-  bool empty() const { return words_.empty(); }
+/// r = t - m if top * 2^(64 n) + t >= m, else t, for a value below 2m;
+/// branch-free; r must not alias t. The final step of every Montgomery
+/// product.
+void mont_reduce_once(std::uint64_t* r, const std::uint64_t* t,
+                      std::uint64_t top, const std::uint64_t* m,
+                      std::size_t n);
 
- private:
-  friend class MontgomeryCtx;
+/// Little-endian 64-bit word import of a non-negative BigInt into
+/// `n` words (zero-padded; higher words are dropped).
+void to_words(const BigInt& v, std::uint64_t* out, std::size_t n);
 
-  BigInt base_;
-  BigInt modulus_;
-  // base^0 .. base^(2^w - 1) in Montgomery form, packed 64-bit words.
-  std::vector<std::vector<std::uint64_t>> words_;
-};
+/// The inverse of to_words.
+BigInt from_words(const std::uint64_t* w, std::size_t n);
 
 class MontgomeryCtx {
  public:
@@ -62,18 +73,12 @@ class MontgomeryCtx {
   /// instead of 14 table multiplies + 20 squarings.
   static constexpr std::size_t kPlainExpBits = 24;
 
-  /// Prepares a context for the odd modulus `m` (throws kCrypto otherwise).
+  /// Prepares a context for the odd modulus `m` of at most kMontMaxWords
+  /// words (throws kCrypto otherwise).
   explicit MontgomeryCtx(const BigInt& m);
 
   /// base^exp mod m. `base` must already be reduced mod m.
   BigInt mod_exp(const BigInt& base, const BigInt& exp) const;
-
-  /// Precomputes the window table for a fixed base (reduced mod m).
-  PowerTable make_power_table(const BigInt& base) const;
-
-  /// table.base()^exp mod m using the precomputed powers. Throws kCrypto
-  /// if the table was built for a different modulus.
-  BigInt mod_exp(const PowerTable& table, const BigInt& exp) const;
 
   /// Montgomery product: a * b * R^-1 mod m, on reduced operands.
   BigInt mont_mul(const BigInt& a, const BigInt& b) const;
@@ -87,33 +92,48 @@ class MontgomeryCtx {
   /// 1 in Montgomery form (R mod m) — the exponentiation identity.
   const BigInt& mont_one() const { return one_mont_; }
 
+  // -- word interface ------------------------------------------------------
+  // Operands are words() little-endian 64-bit words unless stated; none of
+  // these allocate. Outputs may alias inputs.
+
+  /// Word count of the modulus; R = 2^(64 words()).
+  std::size_t words() const { return nw_; }
+
+  /// r = a * b * R^-1 mod m, for a, b < m.
+  void mul(std::uint64_t* r, const std::uint64_t* a,
+           const std::uint64_t* b) const;
+
+  /// r = a - b mod m, for a, b < m.
+  void sub(std::uint64_t* r, const std::uint64_t* a,
+           const std::uint64_t* b) const;
+
+  /// r = x mod m for an `xw`-word x < m * R (xw <= 2 words()): one REDC
+  /// and one multiply, no division.
+  void reduce(std::uint64_t* r, const std::uint64_t* x, std::size_t xw) const;
+
+  /// r = x^exp mod m for an `xw`-word x < m * R, as reduce().
+  void mod_exp(std::uint64_t* r, const std::uint64_t* x, std::size_t xw,
+               const BigInt& exp) const;
+
  private:
-  using Words = std::vector<std::uint64_t>;
+  enum class Kernel : std::uint8_t { kPortable, kAdx8, kAdx16 };
 
-  // CIOS core: t <- a * b * R^-1 mod m. `t` is (re)sized to nw_ + 2 and
-  // the reduced result occupies t[0..nw_-1] (upper words zero), so
-  // buffers can be swapped into the next multiply without copying.
-  // Operands must expose at least nw_ words with any words beyond the
-  // value zero; the scratch buffers and packed tables guarantee this.
-  void cios_into(Words& t, const Words& a, const Words& b) const;
-
-  // 64-bit word packing of a (non-negative, reduced) BigInt.
-  Words pack(const BigInt& v) const;
-  BigInt unpack(const Words& w) const;
-
-  // Shared fixed-window scan over a packed powers table.
-  BigInt mod_exp_windowed(const std::vector<Words>& table,
-                          const BigInt& exp) const;
+  // r = REDC(x) * k * R^-1: x * R^-1 mod m by one multiply by 1 plus the
+  // high half, then one multiply by the constant k.
+  void redc_mul(std::uint64_t* r, const std::uint64_t* x, std::size_t xw,
+                const std::uint64_t* k) const;
 
   BigInt m_;
-  std::size_t n_;             // 32-bit limb count of the modulus
-  std::size_t nw_;            // 64-bit word count of the modulus
-  Words mw_;                  // modulus, packed
-  std::uint64_t m_prime64_;   // -m^-1 mod 2^64
-  Words r2w_;                 // R^2 mod m, for to_mont
-  Words onew_;                // R mod m (1 in Montgomery form)
-  Words one_plain_;           // plain 1, the from-Montgomery multiplier
-  BigInt one_mont_;           // R mod m as a BigInt, for mont_one()
+  std::size_t nw_;                 // 64-bit word count of the modulus
+  std::size_t bits_;               // bit length of the modulus
+  Kernel kernel_;
+  std::uint64_t m_prime_;          // -m^-1 mod 2^64
+  std::vector<std::uint64_t> mw_;  // modulus
+  std::vector<std::uint64_t> r2_;  // R^2 mod m
+  std::vector<std::uint64_t> r3_;  // R^3 mod m
+  std::vector<std::uint64_t> one_mont_w_;  // R mod m
+  std::vector<std::uint64_t> one_;         // plain 1
+  BigInt one_mont_;                // R mod m as a BigInt, for mont_one()
 };
 
 }  // namespace omadrm::bigint

@@ -283,6 +283,9 @@ const std::vector<SiteInfo>& catalog() {
        "GroupCommitStore leader backing commit (fails the whole batch)"},
       {"net.server.send",
        "RiServer outbox flush send (connection is closed on failure)"},
+      {"rsa.crt.fault",
+       "rsadp flips a bit of the CRT p-half result (the verify-after-sign "
+       "must refuse it)"},
   };
   return sites;
 }

@@ -886,6 +886,8 @@ RiCounters RightsIssuer::counters() const {
   out.domain_leaves = counters_.domain_leaves.load(std::memory_order_relaxed);
   out.degraded_refusals =
       counters_.degraded_refusals.load(std::memory_order_relaxed);
+  out.crypto_refusals =
+      counters_.crypto_refusals.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -998,6 +1000,13 @@ roap::Envelope RightsIssuer::serve(Shard& sh, const std::string& key,
   try {
     response = handler();
   } catch (const Error& e) {
+    if (e.kind() == ErrorKind::kCrypto) {
+      // A private-key result failed its verify-after-sign check (a fault
+      // in the CRT): rsadp let no signature out, and none goes on the
+      // wire. Answer unsigned and uncached; the device starts over.
+      counters_.crypto_refusals.fetch_add(1, std::memory_order_relaxed);
+      return refusal(roap::Status::kAbort);
+    }
     if (e.kind() != ErrorKind::kState) throw;
     // Degraded mode: the durable store refused the commit this request
     // needed. Every handler persists before touching RAM, so nothing
@@ -1005,7 +1014,7 @@ roap::Envelope RightsIssuer::serve(Shard& sh, const std::string& key,
     // unwinding through the transport. Deliberately not cached: a retry
     // after the store heals must be re-processed, not re-refused.
     counters_.degraded_refusals.fetch_add(1, std::memory_order_relaxed);
-    return refusal();
+    return refusal(roap::Status::kStoreFailure);
   }
   replay_insert(sh, key, request.wire(), response.wire(), now);
   return response;
@@ -1029,9 +1038,9 @@ roap::Envelope RightsIssuer::handle(const roap::Envelope& request,
             sh.mu.assert_held();  // serve() holds it; TSA can't see through the seam
             return Envelope::wrap(on_device_hello(sh, msg, now));
           },
-          [&] {
+          [&](Status status) {
             roap::RiHello out;
-            out.status = Status::kStoreFailure;
+            out.status = status;
             out.ri_id = ri_id_;
             return Envelope::wrap(out);
           });
@@ -1047,9 +1056,9 @@ roap::Envelope RightsIssuer::handle(const roap::Envelope& request,
             sh.mu.assert_held();
             return Envelope::wrap(on_registration_request(sh, msg, now));
           },
-          [&] {
+          [&](Status status) {
             roap::RegistrationResponse out;
-            out.status = Status::kStoreFailure;
+            out.status = status;
             out.session_id = msg.session_id;
             out.ri_id = ri_id_;
             out.ri_url = url_;
@@ -1065,11 +1074,11 @@ roap::Envelope RightsIssuer::handle(const roap::Envelope& request,
             sh.mu.assert_held();  // serve() holds it; TSA can't see through the seam
             return Envelope::wrap(on_ro_request(sh, msg, now));
           },
-          [&] {
-            // RO issuing persists nothing, but keep the refusal builder:
-            // future stateful extensions (metered ROs) land here safely.
+          [&](Status status) {
+            // RO issuing persists nothing, so only a failed signature
+            // check lands here today.
             roap::RoResponse out;
-            out.status = Status::kStoreFailure;
+            out.status = status;
             out.device_id = msg.device_id;
             out.ri_id = ri_id_;
             out.device_nonce = msg.device_nonce;
@@ -1085,9 +1094,9 @@ roap::Envelope RightsIssuer::handle(const roap::Envelope& request,
             sh.mu.assert_held();  // serve() holds it; TSA can't see through the seam
             return Envelope::wrap(on_join_domain(sh, msg, now));
           },
-          [&] {
+          [&](Status status) {
             roap::JoinDomainResponse out;
-            out.status = Status::kStoreFailure;
+            out.status = status;
             out.domain_id = msg.domain_id;
             out.device_nonce = msg.device_nonce;
             return Envelope::wrap(out);
@@ -1102,9 +1111,9 @@ roap::Envelope RightsIssuer::handle(const roap::Envelope& request,
             sh.mu.assert_held();  // serve() holds it; TSA can't see through the seam
             return Envelope::wrap(on_leave_domain(sh, msg, now));
           },
-          [&] {
+          [&](Status status) {
             roap::LeaveDomainResponse out;
-            out.status = Status::kStoreFailure;
+            out.status = status;
             out.domain_id = msg.domain_id;
             out.device_nonce = msg.device_nonce;
             return Envelope::wrap(out);

@@ -110,6 +110,7 @@ struct RiCounters {
   std::uint64_t domain_joins = 0;
   std::uint64_t domain_leaves = 0;
   std::uint64_t degraded_refusals = 0;  // kStoreFailure responses served
+  std::uint64_t crypto_refusals = 0;    // kAbort: a signature failed its check
 };
 
 class RightsIssuer {
@@ -200,7 +201,11 @@ class RightsIssuer {
   ///   - a refused StateStore commit does NOT unwind: the RI answers with
   ///     a typed Status::kStoreFailure refusal, having changed nothing
   ///     (degraded mode: no new grants, but stateless service — notably
-  ///     RO issuing, which persists nothing — keeps working).
+  ///     RO issuing, which persists nothing — keeps working);
+  ///   - a private-key result that fails its verify-after-sign check
+  ///     (Error(kCrypto) from rsa::rsadp) does NOT unwind either: no
+  ///     signature leaves, and the RI answers with an unsigned
+  ///     Status::kAbort, so the device restarts the exchange.
   roap::Envelope handle(const roap::Envelope& request, std::uint64_t now);
 
   /// Raw-bytes entry point: parses the serialized request document,
@@ -233,8 +238,8 @@ class RightsIssuer {
   // TTL, and are LRU-bounded PER SHARD by the configured capacity; the
   // cache is RAM-only (a restarted RI serves duplicates from its durable
   // one-shot session state instead, which is slower but equally safe).
-  // kStoreFailure refusals are never cached — a retry after the store
-  // heals must be re-processed.
+  // Refusals are never cached — a retry after the store heals must be
+  // re-processed.
   void set_replay_cache_enabled(bool v) {
     replay_enabled_.store(v, std::memory_order_relaxed);
   }
@@ -401,8 +406,9 @@ class RightsIssuer {
 
   /// handle() per-type skeleton: lock the shard (counting contention),
   /// replay-cache lookup → handler → cache the response; a refused store
-  /// commit (Error(kState)) from inside the handler is converted into
-  /// the typed refusal `refusal()` builds.
+  /// commit (Error(kState)) or a failed signature check (Error(kCrypto))
+  /// from inside the handler is converted into the typed refusal
+  /// `refusal(status)` builds. Refusals are never cached.
   template <typename Handler, typename Refusal>
   roap::Envelope serve(Shard& sh, const std::string& key,
                        const roap::Envelope& request, std::uint64_t now,
@@ -457,6 +463,7 @@ class RightsIssuer {
     std::atomic<std::uint64_t> domain_joins{0};
     std::atomic<std::uint64_t> domain_leaves{0};
     std::atomic<std::uint64_t> degraded_refusals{0};
+    std::atomic<std::uint64_t> crypto_refusals{0};
   };
   AtomicCounters counters_;
 };

@@ -14,10 +14,6 @@
 #include "common/bytes.h"
 #include "common/random.h"
 
-namespace omadrm::bigint {
-class MontgomeryCtx;
-}
-
 namespace omadrm::rsa {
 
 using bigint::BigInt;
@@ -31,13 +27,17 @@ struct PublicKey {
   std::size_t bit_length() const { return n.bit_length(); }
 };
 
-/// Holder for a lazily built Montgomery context of a secret CRT prime.
-/// Copying deliberately yields an empty slot: the context is rebuilt on
-/// first use, and never reading the source keeps key copies race-free
-/// against a concurrent private-key operation populating its slots. This
-/// confinement lets PrivateKey keep defaulted copy/move operations.
+/// Per-key CRT precomputation (Montgomery contexts for p, q and n plus
+/// the recombination constant), defined in rsa.cpp.
+struct CrtContext;
+
+/// Holder for a key's lazily built CrtContext. Copying deliberately
+/// yields an empty slot: the context is rebuilt on first use, and never
+/// reading the source keeps key copies race-free against a concurrent
+/// private-key operation populating its slot. This confinement lets
+/// PrivateKey keep defaulted copy/move operations.
 struct CrtCtxSlot {
-  mutable std::shared_ptr<const bigint::MontgomeryCtx> ctx;
+  mutable std::shared_ptr<const CrtContext> ctx;
 
   CrtCtxSlot() = default;
   CrtCtxSlot(const CrtCtxSlot&) noexcept {}
@@ -57,13 +57,12 @@ struct PrivateKey {
   BigInt p, q, dp, dq, qinv;
   bool has_crt = false;
 
-  // Lazily built Montgomery contexts for the CRT primes, kept on the key
-  // instead of the process-wide modulus cache so the secret primes never
-  // persist in global memory beyond the key's lifetime. rsadp validates
-  // the cached modulus before use, so field-wise key replacement (e.g.
-  // state import) self-heals.
-  CrtCtxSlot crt_ctx_p;
-  CrtCtxSlot crt_ctx_q;
+  // Lazily built CRT precomputation, kept on the key instead of the
+  // process-wide modulus cache so the secret primes never persist in
+  // global memory beyond the key's lifetime. rsadp checks it against the
+  // key's fields before use, so field-wise key replacement (e.g. state
+  // import) self-heals.
+  CrtCtxSlot crt_ctx;
 
   PublicKey public_key() const { return {n, e}; }
   std::size_t byte_length() const { return (n.bit_length() + 7) / 8; }
@@ -86,6 +85,11 @@ BigInt os2ip(ByteView data);
 BigInt rsaep(const PublicKey& key, const BigInt& m);
 
 /// RSADP: c^d mod n (CRT when available). Requires 0 <= c < n.
+/// The CRT path runs in constant time with respect to the secret
+/// exponents and allocates nothing between the conversions of c and the
+/// result. Before returning it recomputes result^e mod n and throws
+/// Error(kCrypto), returning nothing, if that differs from c: a fault in
+/// one half of the CRT would otherwise leak the factorisation of n.
 BigInt rsadp(const PrivateKey& key, const BigInt& c);
 
 /// RSASP1: signature primitive (same math as RSADP).

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "bigint/bigint.h"
+#include "bigint/mont_accel.h"
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 #include "common/error.h"
@@ -321,6 +323,105 @@ TEST(Montgomery, ModExpMatchesGeneric) {
       if (exp.bit(b)) ref = (ref * base).mod(m);
     }
     EXPECT_EQ(ctx.mod_exp(base, exp), ref);
+  }
+}
+
+// The MULX/ADX row kernels against the portable CIOS core at the two
+// widths they serve, and both against BigInt arithmetic.
+using Kernel = void (*)(std::uint64_t*, const std::uint64_t*,
+                        const std::uint64_t*, const std::uint64_t*,
+                        std::uint64_t);
+
+std::uint64_t neg_inverse(std::uint64_t m0) {
+  std::uint64_t inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
+  return 0 - inv;
+}
+
+void cross_check_kernel(Kernel adx, std::size_t n, std::uint64_t seed) {
+  using Words = std::vector<std::uint64_t>;
+  DeterministicRng rng(seed);
+  const BigInt r = BigInt(1) << (64 * n);
+  for (int trial = 0; trial < 6; ++trial) {
+    // All-ones (every carry propagates), a short top word, then random.
+    BigInt mb = trial == 0   ? r - BigInt(1)
+                : trial == 1 ? BigInt::random_bits(64 * n - 61, rng) +
+                                   (BigInt(1) << (64 * n - 64))
+                             : BigInt::random_bits(64 * n, rng);
+    if (mb.is_even()) mb = mb + BigInt(1);
+    Words m(n), a(n), b(n), want(n), got(n);
+    to_words(mb, m.data(), n);
+    const std::uint64_t mp = neg_inverse(m[0]);
+    auto check = [&](const BigInt& x, const BigInt& y) {
+      to_words(x, a.data(), n);
+      to_words(y, b.data(), n);
+      mont_mul_portable(want.data(), a.data(), b.data(), m.data(), mp, n);
+      adx(got.data(), a.data(), b.data(), m.data(), mp);
+      EXPECT_EQ(got, want) << "m=" << mb.to_hex() << " a=" << x.to_hex()
+                           << " b=" << y.to_hex();
+      EXPECT_EQ((from_words(got.data(), n) * r).mod(mb), (x * y).mod(mb));
+    };
+    const BigInt edges[] = {BigInt(0), BigInt(1), mb - BigInt(1)};
+    for (const BigInt& x : edges) {
+      for (const BigInt& y : edges) check(x, y);
+    }
+    for (int i = 0; i < 20; ++i) {
+      check(BigInt::random_below(mb, rng), BigInt::random_below(mb, rng));
+    }
+  }
+
+  // 10,000 chained products: each result feeds the next multiply, so one
+  // wrong word anywhere derails every later step.
+  BigInt mb = BigInt::random_bits(64 * n, rng);
+  if (mb.is_even()) mb = mb + BigInt(1);
+  Words m(n), x(n), y(n), px(n), py(n), t(n);
+  to_words(mb, m.data(), n);
+  const std::uint64_t mp = neg_inverse(m[0]);
+  to_words(BigInt::random_below(mb, rng), x.data(), n);
+  to_words(BigInt::random_below(mb, rng), y.data(), n);
+  px = x;
+  py = y;
+  for (int i = 0; i < 10000; ++i) {
+    adx(t.data(), x.data(), y.data(), m.data(), mp);
+    y = x;
+    x = t;
+    mont_mul_portable(t.data(), px.data(), py.data(), m.data(), mp, n);
+    py = px;
+    px = t;
+    ASSERT_EQ(x, px) << "chained product " << i;
+  }
+}
+
+TEST(MontgomeryKernel, Adx8MatchesPortable) {
+  if (!accel::mont_cpu_supported()) GTEST_SKIP() << "CPU lacks BMI2+ADX";
+  cross_check_kernel(accel::mont_mul8, 8, 0xAD8);
+}
+
+TEST(MontgomeryKernel, Adx16MatchesPortable) {
+  if (!accel::mont_cpu_supported()) GTEST_SKIP() << "CPU lacks BMI2+ADX";
+  cross_check_kernel(accel::mont_mul16, 16, 0xAD16);
+}
+
+TEST(Montgomery, WordInterfaceReducesWithoutDivision) {
+  // reduce() and mod_exp() accept any x < m * R: the CRT path feeds them
+  // a full-width ciphertext against a half-width prime.
+  DeterministicRng rng(77);
+  for (std::size_t bits : {61u, 256u, 512u, 1024u}) {
+    BigInt m = BigInt::random_bits(bits, rng);
+    if (m.is_even()) m = m + BigInt(1);
+    MontgomeryCtx ctx(m);
+    const std::size_t n = ctx.words();
+    const BigInt bound = m << (64 * n);
+    std::vector<std::uint64_t> xw(2 * n), out(n);
+    for (int i = 0; i < 5; ++i) {
+      const BigInt x = i == 0 ? bound - BigInt(1) : BigInt::random_below(bound, rng);
+      const BigInt e = BigInt::random_bits(1 + rng.uniform(bits + 8), rng);
+      to_words(x, xw.data(), 2 * n);
+      ctx.reduce(out.data(), xw.data(), 2 * n);
+      EXPECT_EQ(from_words(out.data(), n), x.mod(m));
+      ctx.mod_exp(out.data(), xw.data(), 2 * n, e);
+      EXPECT_EQ(from_words(out.data(), n), ctx.mod_exp(x.mod(m), e));
+    }
   }
 }
 

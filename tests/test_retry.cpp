@@ -12,6 +12,7 @@
 #include "agent/drm_agent.h"
 #include "agent/sessions.h"
 #include "common/error.h"
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "pki/authority.h"
 #include "provider/provider.h"
@@ -395,6 +396,26 @@ TEST_F(RetryProtocol, PolicyRunRidesOutTransientRiStoreFailure) {
             AgentStatus::kOk);
   EXPECT_EQ(ri_->counters().degraded_refusals, 2u);
   EXPECT_EQ(ri_->counters().registrations, 1u);
+}
+
+TEST_F(RetryProtocol, RiSigningFaultAnswersAbortNotABadSignature) {
+  ASSERT_EQ(device_->register_with(net(), kNow), AgentStatus::kOk);
+  const std::uint64_t issued = ri_->counters().ros_issued;
+  // Hit 1 is the device signing its RoRequest; hit 2 is the RI's first
+  // private-key operation on the reply, whose CRT half comes out wrong.
+  failpoint::arm("rsa.crt.fault", "nth-hit-2");
+  auto ro = device_->acquire_ro(net(), "ri.example", "ro:retry", kNow);
+  const std::uint64_t hits = failpoint::hits("rsa.crt.fault");
+  failpoint::reset_all();
+  EXPECT_EQ(ro, AgentStatus::kRiAborted);
+  EXPECT_EQ(hits, 2u);
+  EXPECT_EQ(ri_->counters().crypto_refusals, 1u);
+  EXPECT_EQ(ri_->counters().ros_issued, issued);
+
+  // Disarmed, the refusal was not cached: the next acquisition succeeds.
+  EXPECT_EQ(device_->acquire_ro(net(), "ri.example", "ro:retry", kNow),
+            AgentStatus::kOk);
+  EXPECT_EQ(ri_->counters().ros_issued, issued + 1);
 }
 
 TEST_F(RetryProtocol, AgentStoreFailureLeavesSessionReDrivable) {

@@ -5,7 +5,12 @@
 // real-size keys.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "bigint/prime.h"
 #include "common/error.h"
+#include "common/failpoint.h"
 #include "common/hex.h"
 #include "common/random.h"
 #include "rsa/kem.h"
@@ -17,6 +22,7 @@ namespace {
 
 using omadrm::DeterministicRng;
 using omadrm::Error;
+using omadrm::ErrorKind;
 
 class RsaFixture : public ::testing::Test {
  protected:
@@ -217,6 +223,122 @@ TEST_F(RsaFixture, KemFreshSecretsPerEncapsulation) {
   KemEncapsulation b = kem_encapsulate(key().public_key(), rng);
   EXPECT_NE(a.c1, b.c1);
   EXPECT_NE(a.kek, b.kek);
+}
+
+// -- CRT path: cross-check and verify-after-sign -----------------------------
+
+// A CRT key from primes of the given sizes; generate_key only makes even
+// sizes of at least 64 bits, and always balanced ones.
+PrivateKey crt_key(std::size_t p_bits, std::size_t q_bits, Rng& rng) {
+  const BigInt one(1);
+  const BigInt e(65537);
+  for (;;) {
+    const BigInt p = bigint::generate_prime(p_bits, rng);
+    const BigInt q = bigint::generate_prime(q_bits, rng);
+    const BigInt phi = (p - one) * (q - one);
+    if (p == q || !(BigInt::gcd(e, phi) == one)) continue;
+    PrivateKey key;
+    key.n = p * q;
+    key.e = e;
+    key.d = BigInt::mod_inverse(e, phi);
+    key.p = p;
+    key.q = q;
+    key.dp = key.d.mod(p - one);
+    key.dq = key.d.mod(q - one);
+    key.qinv = BigInt::mod_inverse(q, p);
+    key.has_crt = true;
+    return key;
+  }
+}
+
+TEST(RsaCrt, MatchesNonCrtModExpAcrossSizes) {
+  DeterministicRng rng(0xC127);
+  const std::pair<std::size_t, std::size_t> halves[] = {
+      {16, 16}, {64, 63}, {256, 256}, {512, 512}};
+  for (const auto& [p_bits, q_bits] : halves) {
+    const PrivateKey key = crt_key(p_bits, q_bits, rng);
+    ASSERT_EQ(key.n.bit_length(), p_bits + q_bits);
+    const BigInt inputs[] = {BigInt(0), BigInt(1), key.n - BigInt(1),
+                             BigInt::random_below(key.n, rng),
+                             BigInt::random_below(key.n, rng)};
+    for (const BigInt& c : inputs) {
+      EXPECT_EQ(rsadp(key, c), BigInt::mod_exp(c, key.d, key.n))
+          << key.n.bit_length() << "-bit key, c=" << c.to_hex();
+    }
+  }
+}
+
+TEST(RsaCrt, UnbalancedPrimesFallBackToNonCrt) {
+  // c mod p without a division needs p and q of one word count; a key
+  // whose primes straddle a word boundary takes the plain path instead.
+  DeterministicRng rng(0xB1A5);
+  const PrivateKey key = crt_key(96, 32, rng);
+  const BigInt c = BigInt::random_below(key.n, rng);
+  EXPECT_EQ(rsadp(key, c), BigInt::mod_exp(c, key.d, key.n));
+}
+
+TEST_F(RsaFixture, ConcurrentCallersShareOneCrtContext) {
+  // A fresh copy starts with an empty CRT slot: the first callers race to
+  // build and publish it, and every result must still be exact.
+  const PrivateKey shared = key();
+  DeterministicRng rng(31);
+  std::vector<BigInt> inputs;
+  std::vector<BigInt> expected;
+  for (int i = 0; i < 4; ++i) {
+    inputs.push_back(BigInt::random_below(key().n, rng));
+    expected.push_back(BigInt::mod_exp(inputs.back(), key().d, key().n));
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> wrong(inputs.size(), 0);
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 10; ++i) {
+        wrong[t] += rsadp(shared, inputs[t]) == expected[t] ? 0 : 1;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong, std::vector<int>(inputs.size(), 0));
+}
+
+// Disarms every failpoint when the test ends, however it ends.
+struct FailpointReset {
+  ~FailpointReset() { failpoint::reset_all(); }
+};
+
+TEST_F(RsaFixture, CrtFaultIsRefusedBeforeAnyOutput) {
+  FailpointReset reset;
+  const Bytes message = to_bytes("fault-checked");
+  DeterministicRng before(21);
+  const Bytes reference = pss_sign(key(), message, before);
+  DeterministicRng kem_rng(22);
+  const KemEncapsulation enc = kem_encapsulate(key().public_key(), kem_rng);
+
+  failpoint::arm("rsa.crt.fault", "error-every-1");
+  Bytes signature;
+  DeterministicRng armed(21);
+  try {
+    signature = pss_sign(key(), message, armed);
+    ADD_FAILURE() << "pss_sign returned with a faulted CRT half";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCrypto);
+  }
+  EXPECT_TRUE(signature.empty());
+  Bytes kek;
+  try {
+    kek = kem_decapsulate(key(), enc.c1);
+    ADD_FAILURE() << "kem_decapsulate returned with a faulted CRT half";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCrypto);
+  }
+  EXPECT_TRUE(kek.empty());
+  EXPECT_EQ(failpoint::hits("rsa.crt.fault"), 2u);
+
+  // Disarmed, the output is bit-identical to before.
+  failpoint::reset_all();
+  DeterministicRng after(21);
+  EXPECT_EQ(pss_sign(key(), message, after), reference);
+  EXPECT_EQ(kem_decapsulate(key(), enc.c1), enc.kek);
 }
 
 }  // namespace
