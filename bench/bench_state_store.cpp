@@ -12,7 +12,10 @@
 //               death. The CI regression gate rides on this number (the
 //               fsync-on figure is disk hardware, not code).
 //   durable     FileStore with fsync enabled: the full power-loss-proof
-//               commit (journal fsync + counter rename + dir fsync).
+//               commit (journal fsync + in-place counter fdatasync), plus
+//               flushes_per_commit — the flush failpoint sites one commit
+//               fires, counted in an untimed pass. It is exact (2) and
+//               gated exactly.
 //   load        journal replay and post-compaction snapshot load of the
 //               accumulated image (fresh FileStore on the same dir).
 //   agent       DrmAgent::open_content per-grant latency with and
@@ -32,10 +35,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "agent/drm_agent.h"
 #include "ci/content_issuer.h"
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "pki/authority.h"
 #include "provider/provider.h"
@@ -155,6 +160,25 @@ int main(int argc, char** argv) {
   if (!fs_dur.load().ok()) return 1;
   const CommitStats dur_stats = run_commits(fs_dur, dur_iters, value);
 
+  // Flushes per durable commit, read off the failpoint hit counters in an
+  // untimed pass: they count only while some site is armed, and this
+  // armed site never fires.
+  constexpr std::size_t kCountedCommits = 20;
+  failpoint::arm("bench.count-only", "error-once");
+  for (std::size_t i = 0; i < kCountedCommits; ++i) {
+    if (!fs_dur.commit(burn_tx(i, value)).ok()) return 1;
+  }
+  std::uint64_t flushes = 0;
+  for (const auto& site : failpoint::catalog()) {
+    const std::string_view name = site.name;
+    if (name.ends_with(".fsync") || name.ends_with(".fdatasync")) {
+      flushes += failpoint::hits(name);
+    }
+  }
+  failpoint::reset_all();
+  const double flushes_per_commit =
+      static_cast<double>(flushes) / static_cast<double>(kCountedCommits);
+
   // -- load: journal replay vs snapshot -------------------------------------
   const std::size_t replay_commits = quick ? 2'000 : 10'000;
   store::FileStore::Options no_compact = buffered;
@@ -246,8 +270,9 @@ int main(int argc, char** argv) {
               "%6.2f us)\n",
               buf_stats.commits_per_s, buf_stats.p50_us, buf_stats.p95_us);
   std::printf("  file durable    %10.0f commits/s  (p50 %6.2f us, p95 "
-              "%6.2f us)\n",
-              dur_stats.commits_per_s, dur_stats.p50_us, dur_stats.p95_us);
+              "%6.2f us, %.2f flushes/commit)\n",
+              dur_stats.commits_per_s, dur_stats.p50_us, dur_stats.p95_us,
+              flushes_per_commit);
   std::printf("load after %zu commits: journal replay %.2f ms, snapshot "
               "%.2f ms\n",
               replay_commits, replay_ms, snapshot_ms);
@@ -274,8 +299,10 @@ int main(int argc, char** argv) {
   js << buf;
   std::snprintf(buf, sizeof buf,
                 "  \"file_durable\": {\"commits_per_s\": %.1f, "
-                "\"commit_us_p50\": %.3f, \"commit_us_p95\": %.3f},\n",
-                dur_stats.commits_per_s, dur_stats.p50_us, dur_stats.p95_us);
+                "\"commit_us_p50\": %.3f, \"commit_us_p95\": %.3f, "
+                "\"flushes_per_commit\": %.2f},\n",
+                dur_stats.commits_per_s, dur_stats.p50_us, dur_stats.p95_us,
+                flushes_per_commit);
   js << buf;
   std::snprintf(buf, sizeof buf,
                 "  \"load\": {\"journal_commits\": %zu, \"replay_ms\": %.2f, "

@@ -14,7 +14,10 @@ field:
                  journal + counter path every constraint burn rides;
                  wall-clock commits/s swings 2x with machine load while
                  the p50 stays within a few percent, and the fsync-on
-                 figure is disk hardware, so both only print.
+                 figure is disk hardware, so both only print. The durable
+                 tier's flushes_per_commit is a count, not a timing, so
+                 it is gated exactly: it must equal the baseline's (2:
+                 journal fsync + counter fdatasync).
   net_fleet      gates on exchanges/s through the framed-TCP server at
                  the largest agent count present in BOTH documents
                  (quick CI runs only measure the 8-agent point the full
@@ -63,6 +66,22 @@ def dcf_throughput(doc: dict, payload_bytes: int) -> tuple[float, str, str]:
 def store_throughput(doc: dict) -> tuple[float, str, str]:
     value = 1e6 / float(doc["file_buffered"]["commit_us_p50"])
     return value, "buffered store commit rate (1/p50)", "commits/s"
+
+
+def check_store_flushes(baseline: dict, current: dict) -> bool:
+    """Exact gate on the durable commit's flush count."""
+    base = baseline.get("file_durable", {}).get("flushes_per_commit")
+    cur = current.get("file_durable", {}).get("flushes_per_commit")
+    print(f"durable flushes per commit: baseline {base}, current {cur}")
+    if base is None or cur is None:
+        print("FAIL: file_durable.flushes_per_commit missing",
+              file=sys.stderr)
+        return False
+    if cur != base:
+        print(f"FAIL: a durable commit now flushes {cur} times, not {base}",
+              file=sys.stderr)
+        return False
+    return True
 
 
 def net_throughput(doc: dict, agents: int) -> tuple[float, str, str]:
@@ -244,6 +263,8 @@ def main() -> int:
         print(f"FAIL: throughput regressed more than "
               f"{args.tolerance:.0%} vs the checked-in baseline",
               file=sys.stderr)
+        return 1
+    if kind == "state_store" and not check_store_flushes(baseline, current):
         return 1
     if kind == "net_fleet" and not check_net_worker_sweep(
             baseline, current, args.tolerance):

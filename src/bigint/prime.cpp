@@ -78,7 +78,10 @@ BigInt generate_prime(std::size_t bits, Rng& rng) {
     throw omadrm::Error(omadrm::ErrorKind::kRange,
                         "generate_prime: need at least 8 bits");
   }
-  for (;;) {
+  // Half the draws overflow and an odd candidate is prime with probability
+  // ~2 / (bits ln 2), so a search takes ~0.7 * bits draws; all 64 * bits
+  // failing (p ~ e^-90) means a broken Rng, not bad luck.
+  for (std::size_t attempt = 0; attempt < 64 * bits; ++attempt) {
     BigInt candidate = BigInt::random_bits(bits, rng);
     // Force the second-highest bit so p*q has exactly 2*bits bits, and make
     // the candidate odd.
@@ -90,6 +93,8 @@ BigInt generate_prime(std::size_t bits, Rng& rng) {
     if (candidate.bit_length() != bits) continue;
     if (is_probable_prime(candidate, rng)) return candidate;
   }
+  throw omadrm::Error(omadrm::ErrorKind::kCrypto,
+                      "generate_prime: no prime in 64 * bits draws");
 }
 
 }  // namespace omadrm::bigint

@@ -257,15 +257,9 @@ const std::vector<SiteInfo>& catalog() {
        "FileStore journal frame append (crash = torn half-written frame)"},
       {"store.journal.fsync", "FileStore journal append fsync"},
       {"store.counter.pwrite",
-       "FileStore monotonic counter in-place write (buffered tier)"},
-      {"store.counter.replace.open",
-       "FileStore counter atomic-replace temp open (durable tier)"},
-      {"store.counter.replace.write",
-       "FileStore counter atomic-replace temp write (durable tier)"},
-      {"store.counter.replace.fsync",
-       "FileStore counter atomic-replace temp fsync (durable tier)"},
-      {"store.counter.replace.rename",
-       "FileStore counter atomic-replace rename (durable tier)"},
+       "FileStore monotonic counter in-place write (every commit)"},
+      {"store.counter.fdatasync",
+       "FileStore in-place counter fdatasync (durable tier)"},
       {"store.snapshot.replace.open",
        "FileStore snapshot compaction temp open"},
       {"store.snapshot.replace.write",
@@ -278,7 +272,8 @@ const std::vector<SiteInfo>& catalog() {
        "FileStore journal truncate after a durable snapshot"},
       {"store.compact.fsync",
        "FileStore truncated-journal fsync (durable tier)"},
-      {"store.load.open", "FileStore journal open-for-append during load"},
+      {"store.load.open",
+       "FileStore counter and journal opens at the end of load"},
       {"store.group_commit.commit",
        "GroupCommitStore leader backing commit (fails the whole batch)"},
       {"net.server.send",

@@ -40,6 +40,7 @@ Result<> io_fail(const char* what) {
 /// the simulated errno (already stored into `errno` so io_fail's
 /// strerror reports the injected cause — EIO vs ENOSPC stays visible).
 bool injected_failure(const char* site) {
+  if (site == nullptr) return false;  // ungated step
   const int err = failpoint::check(site);
   if (err == 0) return false;
   errno = err;
@@ -47,17 +48,15 @@ bool injected_failure(const char* site) {
 }
 
 /// The four failpoint sites of one atomic_replace call chain, as static
-/// literals so the production path never builds site-name strings.
+/// literals so the production path never builds site-name strings. A
+/// default-constructed (all-null) table leaves the replace ungated.
 struct ReplaceSites {
-  const char* open;
-  const char* write;
-  const char* fsync;
-  const char* rename;
+  const char* open = nullptr;
+  const char* write = nullptr;
+  const char* fsync = nullptr;
+  const char* rename = nullptr;
 };
 
-constexpr ReplaceSites kCounterReplaceSites{
-    "store.counter.replace.open", "store.counter.replace.write",
-    "store.counter.replace.fsync", "store.counter.replace.rename"};
 constexpr ReplaceSites kSnapshotReplaceSites{
     "store.snapshot.replace.open", "store.snapshot.replace.write",
     "store.snapshot.replace.fsync", "store.snapshot.replace.rename"};
@@ -78,6 +77,17 @@ std::array<std::uint8_t, kTagSize> seal_tag(ByteView key, char domain,
 
 bool check_tag(ByteView key, char domain, ByteView payload, ByteView tag) {
   return ct_equal(seal_tag(key, domain, payload), tag);
+}
+
+/// The sealed counter record: magic, big-endian value, 'C' tag.
+std::array<std::uint8_t, kCounterFileSize> counter_record(
+    ByteView key, std::uint64_t value) {
+  std::array<std::uint8_t, kCounterFileSize> rec;
+  std::memcpy(rec.data(), kCounterMagic, 8);
+  store_be64(value, rec.data() + 8);
+  const auto tag = seal_tag(key, 'C', ByteView(rec.data(), 16));
+  std::memcpy(rec.data() + 16, tag.data(), kTagSize);
+  return rec;
 }
 
 /// Reads a whole file; `present` is false (with empty `out`) on ENOENT.
@@ -253,33 +263,15 @@ Result<> FileStore::append_journal(ByteView frame) {
 }
 
 Result<> FileStore::write_counter(std::uint64_t value) {
-  Bytes data;
-  data.reserve(kCounterFileSize);
-  data.insert(data.end(), kCounterMagic, kCounterMagic + 8);
-  append_be64(data, value);
-  auto tag = seal_tag(storage_key_, 'C', data);
-  data.insert(data.end(), tag.begin(), tag.end());
-
-  if (!options_.durable_fsync) {
-    // Buffered tier promises durability against process death only; for
-    // that, one in-place pwrite of the 36-byte record on a kept-open fd
-    // is atomic (the page cache survives any kill) and ~10x cheaper than
-    // the atomic-replace dance below.
-    if (counter_fd_ < 0) {
-      counter_fd_ = ::open(path(kCounterFile).c_str(),
-                           O_RDWR | O_CREAT | O_CLOEXEC, 0600);
-      if (counter_fd_ < 0) return io_fail("open counter");
-    }
-    if (injected_failure("store.counter.pwrite")) {
-      return io_fail("counter pwrite");
-    }
-    return pwrite_fully(counter_fd_, data, 0);
+  // In place on the fd load() opened; the header argues why it cannot tear.
+  const auto rec = counter_record(storage_key_, value);
+  if (injected_failure("store.counter.pwrite")) return io_fail("counter pwrite");
+  if (Result<> r = pwrite_fully(counter_fd_, rec, 0); !r.ok()) return r;
+  if (options_.durable_fsync && (injected_failure("store.counter.fdatasync") ||
+                                 ::fdatasync(counter_fd_) != 0)) {
+    return io_fail("fdatasync counter");
   }
-
-  // Temp-write + rename models the atomic bump of a hardware counter: a
-  // power loss leaves either the old or the new value, never a torn one.
-  return atomic_replace(directory_, path(kCounterFile), data,
-                        /*durable=*/true, kCounterReplaceSites);
+  return Result<>();
 }
 
 void FileStore::apply(const Transaction& tx) {
@@ -323,16 +315,13 @@ Result<> FileStore::commit(const Transaction& tx) {
   auto tag = seal_tag(storage_key_, 'J', frame);
   frame.insert(frame.end(), tag.begin(), tag.end());
 
-  // Durability order: frame on the medium first, then the counter bump,
-  // then the in-RAM apply. Every crash window between these steps loses
-  // at most this not-yet-delivered commit — never an older, delivered one.
-  //
-  // Any write failure (injected or real — ENOSPC, EIO) leaves the
-  // journal in an unknown on-medium state: a partially appended frame,
-  // or a complete frame whose counter bump is missing. Accepting further
-  // commits on top would corrupt the image permanently (torn bytes in
-  // the middle, duplicate generations), so the store goes dead until a
-  // load() re-derives the truth from the medium — which also repairs the
+  // Durability order (header): frame, counter bump, in-RAM apply. Any
+  // write failure (injected or real — ENOSPC, EIO) leaves the journal in
+  // an unknown on-medium state: a partially appended frame, or a complete
+  // frame whose counter bump is missing. Accepting further commits on top
+  // would corrupt the image permanently (torn bytes in the middle,
+  // duplicate generations), so the store goes dead until a load()
+  // re-derives the truth from the medium — which also repairs the
   // journal-one-ahead-of-counter case.
   if (Result<> r = append_journal(frame); !r.ok()) {
     loaded_ = false;
@@ -621,6 +610,14 @@ Result<std::vector<Record>> FileStore::load() {
                          "file store: monotonic counter missing for "
                          "non-empty store");
     }
+    // An empty store gets its counter before any commit. Ungated: a crash
+    // here leaves an empty store that the next load() creates it for.
+    if (Result<> r = atomic_replace(directory_, path(kCounterFile),
+                                    counter_record(storage_key_, 0),
+                                    options_.durable_fsync, ReplaceSites{});
+        !r.ok()) {
+      return propagate<Out>(r);
+    }
   } else if (last < counter) {
     return Result<Out>(
         StatusCode::kStoreRollback,
@@ -633,20 +630,24 @@ Result<std::vector<Record>> FileStore::load() {
     return Result<Out>(StatusCode::kStoreRollback,
                        "file store: counter behind journal by more than "
                        "one commit");
-  } else if (last == counter + 1) {
+  }
+
+  if (injected_failure("store.load.open")) {
+    return propagate<Out>(io_fail("open journal"));
+  }
+  counter_fd_ = ::open(path(kCounterFile).c_str(), O_RDWR | O_CLOEXEC);
+  if (counter_fd_ < 0) return propagate<Out>(io_fail("open counter"));
+  journal_fd_ = ::open(path(kJournalFile).c_str(),
+                       O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0600);
+  if (journal_fd_ < 0) return propagate<Out>(io_fail("open journal"));
+
+  if (last == counter + 1) {
     // Crash between frame flush and counter bump: the burn is kept
     // (conservative — it may never have been delivered) and the counter
     // repaired.
     if (Result<> r = write_counter(last); !r.ok()) return propagate<Out>(r);
   }
   generation_ = last;
-
-  if (injected_failure("store.load.open")) {
-    return propagate<Out>(io_fail("open journal"));
-  }
-  journal_fd_ = ::open(path(kJournalFile).c_str(),
-                       O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0600);
-  if (journal_fd_ < 0) return propagate<Out>(io_fail("open journal"));
   loaded_ = true;
 
   Out out;

@@ -12,20 +12,32 @@
 //                  the journal grows past Options::compact_after_bytes;
 //                  journal frames at or below the snapshot generation are
 //                  folded in and the journal is truncated.
-//   counter.bin    the rollback guard. Models the terminal's monotonic
-//                  hardware counter (fuse bank / RPMB in a real device,
-//                  which is why its own rollback is outside the threat
-//                  model here). Bumped after every journal append; a
+//   counter.bin    the rollback guard: one sealed 36-byte record modeling
+//                  the terminal's monotonic hardware counter (fuse bank /
+//                  RPMB in a real device, which is why its own rollback is
+//                  outside the threat model here). load() creates it, at
+//                  0, for an empty store (atomic replace); every commit
+//                  then bumps it in place: one pwrite at offset 0 on a
+//                  kept-open fd, plus fdatasync in the durable tier. A
 //                  loaded image whose highest generation is below the
 //                  counter is a replayed stale snapshot -> kStoreRollback.
 //
+// The in-place bump is atomic: process death cannot tear a 36-byte pwrite
+// (it is whole in the page cache); a record under 512 bytes at offset 0
+// lies in one sector, whose write power loss does not split (the
+// assumption PostgreSQL's pg_control makes); and a record torn anyway
+// fails its seal, so load() fails closed with kStoreSealBroken and never
+// grants a refund.
+//
 // Commit ordering gives the crash-safety guarantee: frame append+flush,
-// then counter bump, then the in-RAM apply. A crash mid-append leaves a
-// torn tail whose commit never returned (the caller never delivered the
-// grant), so dropping it on recovery can lose an undelivered grant but
-// never refund a delivered one. A crash between append and counter bump
-// leaves the journal exactly one generation ahead of the counter, which
-// load() accepts (conservative: the burn is kept) and repairs.
+// then counter bump, then the in-RAM apply — two flushes, and no file
+// created or renamed. A crash mid-append leaves a torn tail whose commit
+// never returned (the caller never delivered the grant), so dropping it
+// on recovery can lose an undelivered grant but never refund a delivered
+// one. A crash between append and counter bump (the first commit
+// included: the counter predates it) leaves the journal exactly one
+// generation ahead of the counter, which load() accepts (conservative:
+// the burn is kept) and repairs.
 //
 // load() fails closed with distinct codes: kStoreCorrupt for structural
 // truncation (including a torn tail, unless Options::recover_torn_tail
@@ -51,9 +63,9 @@ class FileStore final : public StateStore {
     /// (kStoreCorrupt); a reboot path that has decided the medium is its
     /// own (not an attacker's splice) opts in to dropping the torn tail.
     bool recover_torn_tail = false;
-    /// fsync journal appends, counter bumps, and snapshot renames. Off
-    /// trades durability-against-power-loss for speed (still durable
-    /// against process death); benchmarks measure both.
+    /// fsync journal appends and snapshot renames, fdatasync counter
+    /// bumps. Off trades durability-against-power-loss for speed (still
+    /// durable against process death); benchmarks measure both.
     bool durable_fsync = true;
   };
 
@@ -78,7 +90,6 @@ class FileStore final : public StateStore {
   Result<> compact();
 
   std::size_t journal_bytes() const { return journal_size_; }
-  const std::string& directory() const { return directory_; }
 
   /// Crash injection (tests): after `n` more journal bytes are written,
   /// the append stops mid-frame and the commit fails — byte-accurate
@@ -107,7 +118,7 @@ class FileStore final : public StateStore {
   std::uint64_t generation_ = 0;
   std::size_t journal_size_ = 0;
   int journal_fd_ = -1;
-  int counter_fd_ = -1;  // buffered-mode in-place counter writes
+  int counter_fd_ = -1;  // in-place counter bumps, opened by load()
   bool loaded_ = false;
 
   bool fault_armed_ = false;

@@ -1,6 +1,7 @@
 // Unit + property tests for the multiprecision integer substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -465,6 +466,26 @@ TEST_P(PrimeGeneration, GeneratesExactWidthOddPrimes) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, PrimeGeneration,
                          ::testing::Values(16, 32, 64, 128, 256));
+
+/// Returns the same (zero) bytes on every draw: a stuck hardware source.
+class StuckRng final : public Rng {
+ public:
+  void fill(std::uint8_t* out, std::size_t len) override {
+    std::fill(out, out + len, std::uint8_t{0});
+  }
+  std::uint64_t next_u64() override { return 0; }
+};
+
+TEST(Prime, StuckRngThrowsInsteadOfSpinning) {
+  // Every 12-bit draw becomes 3073 = 7 * 439, so no candidate is prime.
+  StuckRng rng;
+  try {
+    (void)generate_prime(12, rng);
+    FAIL() << "generate_prime returned from a stuck Rng";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCrypto);
+  }
+}
 
 TEST(RandomBelow, StaysInRangeAndVaries) {
   DeterministicRng rng(123);

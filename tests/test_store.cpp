@@ -5,15 +5,19 @@
 // the agent, and a tampered or stale store image is rejected on load
 // with a distinct StatusCode.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string_view>
 
 #include "agent/drm_agent.h"
 #include "agent/sessions.h"
 #include "ci/content_issuer.h"
 #include "common/error.h"
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "pki/authority.h"
 #include "provider/provider.h"
@@ -383,6 +387,59 @@ TEST(FileStoreCorruption, TruncatedCounterIsCorrupt) {
   truncate_by(dir.file("counter.bin"), 3);
   FileStore r(dir.str(), test_key(), fast_options());
   EXPECT_EQ(r.load().code(), StatusCode::kStoreCorrupt);
+}
+
+// ---------------------------------------------------------------------------
+// Flush and file-creation counts of a durable commit
+// ---------------------------------------------------------------------------
+
+/// name -> inode of every file in `dir`: a rename or a new file changes it.
+std::map<std::string, std::uintmax_t> inode_listing(const TempDir& dir) {
+  std::map<std::string, std::uintmax_t> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+    struct stat st {};
+    if (::stat(e.path().c_str(), &st) == 0) {
+      out[e.path().filename().string()] = st.st_ino;
+    }
+  }
+  return out;
+}
+
+TEST(FileStoreFlushes, DurableCommitIsTwoFlushesAndNoNewFile) {
+  TempDir dir("flushes");
+  FileStore s(dir.str(), test_key(), FileStore::Options());  // durable
+  ASSERT_TRUE(s.load().ok());
+  const auto files_after_load = inode_listing(dir);
+  EXPECT_EQ(files_after_load.count("counter.bin"), 1u)
+      << "load() creates the counter of an empty store";
+
+  // Hit counting runs while any site is armed; this one never fires.
+  failpoint::arm("test.count-only", "error-once");
+  constexpr std::uint64_t kCommits = 5;
+  for (std::uint64_t i = 0; i < kCommits; ++i) {
+    Transaction tx;
+    tx.put("st/ro", to_bytes("used=" + std::to_string(i)));
+    ASSERT_TRUE(s.commit(tx).ok());
+  }
+  const std::uint64_t journal_flushes = failpoint::hits("store.journal.fsync");
+  const std::uint64_t counter_flushes =
+      failpoint::hits("store.counter.fdatasync");
+  std::uint64_t all_flushes = 0;
+  for (const auto& site : failpoint::catalog()) {
+    const std::string_view name = site.name;
+    if (name.ends_with(".fsync") || name.ends_with(".fdatasync")) {
+      all_flushes += failpoint::hits(name);
+    }
+  }
+  const std::uint64_t replaces = failpoint::hits("store.snapshot.replace.open");
+  failpoint::reset_all();
+
+  EXPECT_EQ(journal_flushes, kCommits);
+  EXPECT_EQ(counter_flushes, kCommits);
+  EXPECT_EQ(all_flushes, 2 * kCommits) << "a flush site beyond the two";
+  EXPECT_EQ(replaces, 0u);
+  EXPECT_EQ(inode_listing(dir), files_after_load)
+      << "a commit created, removed or renamed a file";
 }
 
 // ---------------------------------------------------------------------------
