@@ -5,8 +5,9 @@
 // never talks to the Rights Issuer about this particular license — it only
 // needed the one-time JoinDomain to receive the domain key K_D.
 //
-// Build & run:  ./build/examples/domain_sharing
+// Build & run:  ./build/example_domain_sharing   (exits 1 if any step fails)
 #include <cstdio>
+#include <string>
 
 #include "agent/drm_agent.h"
 #include "ci/content_issuer.h"
@@ -86,26 +87,34 @@ int main() {
 
   // ...and hands the RO file to the player out-of-band (e.g. USB). Both
   // install and play it with their copy of K_D.
-  std::string ro_file = acq->to_xml().serialize();
+  std::string ro_file;
+  xml::Writer writer(ro_file);
+  acq->write(writer);
   std::printf("RO transferred out-of-band as a %zu-byte XML file\n\n",
               ro_file.size());
+  // What each receiving device does with the file.
+  auto read_ro_file = [&ro_file] {
+    xml::Arena arena;
+    return roap::ProtectedRo::from_node(xml::parse_in(arena, ro_file));
+  };
 
   for (agent::DrmAgent* d : {&phone, &player}) {
-    roap::ProtectedRo ro = roap::ProtectedRo::from_xml(xml::parse(ro_file));
-    if (d->install_ro(ro, now) != agent::AgentStatus::kOk) return 1;
+    if (d->install_ro(read_ro_file(), now) != agent::AgentStatus::kOk) {
+      return 1;
+    }
     agent::ConsumeResult r = d->consume(dcf, rel::PermissionType::kPlay, now);
+    const bool played = r.status == agent::AgentStatus::kOk;
     std::printf("%s: install ok, playback %s (%zu bytes)\n",
-                d->device_id().c_str(),
-                r.status == agent::AgentStatus::kOk ? "ok" : "FAILED",
+                d->device_id().c_str(), played ? "ok" : "FAILED",
                 r.content.size());
+    if (!played) return 1;
   }
 
   // A stranger's device (registered, but not a domain member) cannot.
   agent::DrmAgent stranger = make_device("stranger-01", ca, validity, rng);
   if (!stranger.register_with(transport, now).ok()) return 1;
-  roap::ProtectedRo ro = roap::ProtectedRo::from_xml(xml::parse(ro_file));
-  agent::AgentStatus status = stranger.install_ro(ro, now);
+  agent::AgentStatus status = stranger.install_ro(read_ro_file(), now);
   std::printf("\nstranger-01 (not in the domain): install -> %s\n",
               agent::to_string(status));
-  return 0;
+  return status == agent::AgentStatus::kOk ? 1 : 0;
 }

@@ -10,9 +10,12 @@
 // with its serialized size, so the analytic model's nominal sizes (see
 // model/analytic.h) can be checked against reality.
 //
-// Usage: ./build/examples/roap_inspector [--dump]   (--dump prints the XML)
+// Usage: ./build/example_roap_inspector [--dump]
+//   --dump prints each document exactly as sent on the wire.
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <string_view>
 
 #include "ci/content_issuer.h"
 #include "common/random.h"
@@ -29,20 +32,15 @@ namespace {
 
 bool g_dump = false;
 
-void show(const char* direction, const char* name, const xml::Element& doc) {
-  std::string wire = doc.serialize();
+void show(const char* direction, const char* name, std::string_view wire) {
   std::printf("%-4s %-28s %6zu bytes\n", direction, name, wire.size());
   if (g_dump) {
-    std::printf("%s\n", doc.serialize(true).c_str());
+    std::printf("%.*s\n", static_cast<int>(wire.size()), wire.data());
   }
 }
 
 void show(const char* direction, const roap::Envelope& env) {
-  std::printf("%-4s %-28s %6zu bytes\n", direction,
-              roap::to_string(env.type()), env.size());
-  if (g_dump) {
-    std::printf("%s\n", xml::parse(env.wire()).serialize(true).c_str());
-  }
+  show(direction, roap::to_string(env.type()), env.wire());
 }
 
 }  // namespace
@@ -134,7 +132,10 @@ int main(int argc, char** argv) {
   roap::RoResponse ro_resp = ro_resp_env.open<roap::RoResponse>();
   if (!ro_resp.ros.empty()) {
     const roap::ProtectedRo& ro = ro_resp.ros.front();
-    show("  ", "  protectedRO (within)", ro.to_xml());
+    std::string ro_wire;
+    xml::Writer w(ro_wire);
+    ro.write(w);
+    show("  ", "  protectedRO (within)", ro_wire);
     std::printf(
         "     C = C1||C2: %zu bytes (C1 %d + C2 %zu), E_KREK(KCEK): %zu, "
         "MAC: %zu\n",

@@ -213,7 +213,6 @@ def check_classify_coverage(status_text: str, retry_path: str,
 WIRE_FILES = [
     "src/xml/node.cpp", "src/xml/node.h",
     "src/xml/writer.cpp", "src/xml/writer.h",
-    "src/xml/xml.cpp", "src/xml/xml.h",
     "src/xml/arena.cpp", "src/xml/arena.h",
     "src/roap/envelope.cpp", "src/roap/envelope.h",
     "src/common/base64.cpp", "src/common/base64.h",

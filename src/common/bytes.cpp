@@ -93,6 +93,12 @@ std::optional<std::uint64_t> parse_u64_dec(std::string_view s) {
   return v;
 }
 
+std::optional<std::uint32_t> parse_u32_dec(std::string_view s) {
+  std::optional<std::uint64_t> v = parse_u64_dec(s);
+  if (!v || *v > 0xffffffffull) return std::nullopt;
+  return static_cast<std::uint32_t>(*v);
+}
+
 bool ByteReader::take_u32(std::uint32_t& v) {
   if (remaining() < 4) return false;
   v = load_be32(data.data() + pos);

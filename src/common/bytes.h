@@ -55,6 +55,8 @@ void append_be64(Bytes& out, std::uint64_t v);
 /// or overflow past 2^64-1 (an attacker-sized number must be rejected,
 /// never silently wrapped into a small one).
 std::optional<std::uint64_t> parse_u64_dec(std::string_view s);
+/// The same for uint32: nullopt past 2^32-1 as well.
+std::optional<std::uint32_t> parse_u32_dec(std::string_view s);
 
 /// Bounds-checked forward reader over untrusted serialized bytes: each
 /// take_* returns false (cursor unmoved) instead of reading past the

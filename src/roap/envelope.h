@@ -22,7 +22,9 @@
 
 #include "common/error.h"
 #include "roap/messages.h"
-#include "xml/xml.h"
+#include "xml/arena.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm::roap {
 

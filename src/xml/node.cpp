@@ -52,12 +52,6 @@ std::string_view Node::child_text(std::string_view name) const {
   return require_child(name).text();
 }
 
-std::size_t Node::child_count() const {
-  std::size_t n = 0;
-  for (const Node* c = first_child_; c; c = c->next_sibling_) ++n;
-  return n;
-}
-
 // ---------------------------------------------------------------------------
 // Single-pass zero-copy parser
 // ---------------------------------------------------------------------------
@@ -361,8 +355,8 @@ class Parser {
   // Collapses the text-segment list: zero segments -> empty, one segment
   // -> its view (usually aliasing the document), several -> one arena
   // concatenation. Whitespace-only text around child elements is
-  // formatting, not content; drop it so pretty-printed documents
-  // round-trip.
+  // formatting, not content; drop it so indented documents parse to the
+  // same tree as compact ones.
   std::string_view finish_text(const TextSeg* head, std::size_t total,
                                bool has_children) {
     if (!head) return std::string_view();

@@ -1,16 +1,24 @@
-// Zero-copy XML DOM view.
+// XML DOM: a zero-copy Node tree parsed in one pass.
 //
-// A Node tree is produced by parse_in() in a single pass over the
-// document: element names, attribute values, and character data are
-// string_views that alias the input buffer wherever possible (entity
-// decoding and multi-segment text fall back to Arena storage). The tree
-// borrows both the Arena and the document bytes — keep both alive for as
-// long as the Nodes are used. This is the wire-path DOM: the ROAP
-// envelope retains its serialized bytes anyway, so the parse costs no
-// string copies and, once the arena is warm, no heap allocations at all.
+// OMA DRM 2 carries Rights Objects (REL) and ROAP messages as XML. The
+// paper explicitly excludes XML parsing overhead from its cycle model
+// ("these components cannot easily be accelerated by dedicated hardware
+// cells"), but the protocol stack still needs a real parser to produce
+// and consume the documents — this is it. Supported: elements, attributes
+// (single- or double-quoted), character data with the five predefined
+// entities plus decimal/hex character references, comments, processing
+// instructions, and self-closing tags. Not supported (rejected cleanly):
+// DTDs, CDATA sections, namespaces beyond literal prefixed names.
 //
-// The accessor surface deliberately mirrors xml::Element so message
-// decoding can be written once, generically, against either DOM.
+// This is the library's one DOM; documents are built with the streaming
+// Writer (writer.h). A Node tree is produced by parse_in() in a single
+// pass over the document: element names, attribute values, and character
+// data are string_views that alias the input buffer wherever possible
+// (entity decoding and multi-segment text fall back to Arena storage).
+// The tree borrows both the Arena and the document bytes — keep both
+// alive for as long as the Nodes are used. The ROAP envelope retains its
+// serialized bytes anyway, so the parse costs no string copies and, once
+// the arena is warm, no heap allocations at all.
 #pragma once
 
 #include <cstddef>
@@ -33,16 +41,12 @@ class Node {
   std::string_view text() const { return text_; }
 
   // -- attributes ---------------------------------------------------------
-  const Attr* first_attr() const { return first_attr_; }
   /// nullptr when absent.
   const std::string_view* attr(std::string_view key) const;
   /// Throws omadrm::Error(kFormat) when absent.
   std::string_view require_attr(std::string_view key) const;
 
   // -- children -----------------------------------------------------------
-  const Node* first_child() const { return first_child_; }
-  const Node* next_sibling() const { return next_sibling_; }
-
   class ChildIter {
    public:
     explicit ChildIter(const Node* p) : p_(p) {}
@@ -114,8 +118,6 @@ class Node {
   const Node& require_child(std::string_view name) const;
   /// Text of a required child.
   std::string_view child_text(std::string_view name) const;
-
-  std::size_t child_count() const;
 
  private:
   friend struct NodeBuilder;

@@ -7,7 +7,9 @@
 #include "agent/sessions.h"
 #include "ci/content_issuer.h"
 #include "common/error.h"
+#include "common/hex.h"
 #include "common/random.h"
+#include "crypto/sha1.h"
 #include "pki/authority.h"
 #include "provider/provider.h"
 #include "ri/rights_issuer.h"
@@ -22,6 +24,11 @@ using agent::DrmAgent;
 
 constexpr std::uint64_t kNow = 1100000000;
 const pki::Validity kValidity{kNow - 86400, kNow + 365 * 86400};
+
+// export_state() of the PersistedRecordFormatIsPinned scenario.
+constexpr std::size_t kPinnedImageSize = 5128;
+constexpr const char* kPinnedImageSha1 =
+    "9df9378cbd31623474dbbe279c7d899b524b86cc";
 
 class AgentExtended : public ::testing::Test {
  protected:
@@ -494,6 +501,24 @@ TEST_F(AgentExtended, ExportImportRoundTripIsStable) {
   rebooted.import_state(image1);
   Bytes image2 = rebooted.export_state();
   EXPECT_EQ(image1, image2);
+}
+
+TEST_F(AgentExtended, PersistedRecordFormatIsPinned) {
+  // Stores already on disk must keep loading, so the encoding of every
+  // record kind (identity, ri-context, domain-key, installed-ro,
+  // constraint state) and of the export wrapper is frozen: the image of
+  // this deterministic agent is pinned by size and SHA-1.
+  setup_content("pin", 700, /*count_limit=*/4, /*domain_ro=*/true);
+  ASSERT_EQ(device_->register_with(tx(), kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->join_domain(tx(), "ri.example", "domain:home", kNow),
+            AgentStatus::kOk);
+  auto acq = device_->acquire_ro(tx(), "ri.example", "ro:pin", kNow);
+  ASSERT_EQ(acq, AgentStatus::kOk);
+  ASSERT_EQ(device_->install_ro(*acq, kNow), AgentStatus::kOk);
+
+  const Bytes image = device_->export_state();
+  EXPECT_EQ(image.size(), kPinnedImageSize);
+  EXPECT_EQ(to_hex(crypto::Sha1::hash(image)), kPinnedImageSha1);
 }
 
 }  // namespace

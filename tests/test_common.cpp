@@ -61,6 +61,19 @@ TEST(Bytes, BigEndianStores) {
   EXPECT_EQ(load_be64(buf), 0x0102030405060708ull);
 }
 
+TEST(Bytes, StrictDecimalParse) {
+  EXPECT_EQ(parse_u64_dec("18446744073709551615"), ~std::uint64_t{0});
+  EXPECT_EQ(parse_u64_dec("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(parse_u32_dec("0"), 0u);
+  EXPECT_EQ(parse_u32_dec("4294967295"), 4294967295u);
+  EXPECT_EQ(parse_u32_dec("4294967296"), std::nullopt);
+  EXPECT_EQ(parse_u32_dec("4294967297"), std::nullopt);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1.0"}) {
+    EXPECT_EQ(parse_u64_dec(bad), std::nullopt) << bad;
+    EXPECT_EQ(parse_u32_dec(bad), std::nullopt) << bad;
+  }
+}
+
 TEST(Hex, EncodeDecode) {
   Bytes data{0xde, 0xad, 0xbe, 0xef};
   EXPECT_EQ(to_hex(data), "deadbeef");

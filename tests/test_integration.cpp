@@ -393,8 +393,12 @@ TEST_F(DrmEcosystem, RoSurvivesXmlTransport) {
   auto acq = device_->acquire_ro(tx(), "ri.example", "ro:wire", kNow);
   ASSERT_EQ(acq, AgentStatus::kOk);
 
-  std::string wire = acq->to_xml().serialize();
-  roap::ProtectedRo reparsed = roap::ProtectedRo::from_xml(xml::parse(wire));
+  std::string wire;
+  xml::Writer w(wire);
+  acq->write(w);
+  xml::Arena arena;
+  roap::ProtectedRo reparsed =
+      roap::ProtectedRo::from_node(xml::parse_in(arena, wire));
   ASSERT_EQ(device_->install_ro(reparsed, kNow), AgentStatus::kOk);
   EXPECT_EQ(device_->consume(dcf, rel::PermissionType::kPlay, kNow).status,
             AgentStatus::kOk);

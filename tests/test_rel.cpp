@@ -4,11 +4,29 @@
 #include "common/error.h"
 #include "common/hex.h"
 #include "rel/rights.h"
+#include "xml/arena.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm::rel {
 namespace {
 
 using omadrm::Error;
+
+Rights parse_rights(const std::string& doc) {
+  xml::Arena arena;
+  return Rights::from_node(xml::parse_in(arena, doc));
+}
+
+/// write() → parse_in → from_node.
+template <typename T>
+T round_trip(const T& v) {
+  std::string doc;
+  xml::Writer w(doc);
+  v.write(w);
+  xml::Arena arena;
+  return T::from_node(xml::parse_in(arena, doc));
+}
 
 Rights sample_rights() {
   Rights r;
@@ -38,7 +56,7 @@ TEST(PermissionNames, RoundTrip) {
 TEST(ConstraintXml, UnconstrainedIsEmpty) {
   Constraint c;
   EXPECT_TRUE(c.is_unconstrained());
-  Constraint back = Constraint::from_xml(c.to_xml());
+  Constraint back = round_trip(c);
   EXPECT_EQ(back, c);
 }
 
@@ -50,12 +68,12 @@ TEST(ConstraintXml, AllFieldsRoundTrip) {
   c.interval_secs = 86400;
   c.accumulated_secs = 3600;
   EXPECT_FALSE(c.is_unconstrained());
-  EXPECT_EQ(Constraint::from_xml(c.to_xml()), c);
+  EXPECT_EQ(round_trip(c), c);
 }
 
 TEST(RightsXml, RoundTrip) {
   Rights r = sample_rights();
-  Rights back = Rights::parse(r.serialize());
+  Rights back = parse_rights(r.serialize());
   EXPECT_EQ(back, r);
 }
 
@@ -67,7 +85,7 @@ TEST(RightsXml, FindPermission) {
 }
 
 TEST(RightsXml, RejectsWrongRoot) {
-  EXPECT_THROW(Rights::parse("<wrong/>"), Error);
+  EXPECT_THROW(parse_rights("<wrong/>"), Error);
 }
 
 TEST(RightsXml, RejectsUnknownPermission) {
@@ -76,7 +94,7 @@ TEST(RightsXml, RejectsUnknownPermission) {
       "<o-ex:context>cid:x</o-ex:context><ds:DigestValue></ds:DigestValue>"
       "</o-ex:asset><o-ex:permission><o-dd:teleport/></o-ex:permission>"
       "</o-ex:agreement></o-ex:rights>";
-  EXPECT_THROW(Rights::parse(doc), Error);
+  EXPECT_THROW(parse_rights(doc), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -97,7 +115,7 @@ TEST(ParseOverflow, WrappingCountRejected) {
   // 99999999999999999999999 mod 2^64 = 1529599999999754 — without the
   // overflow check this parses as a "small" (but huge) budget; worse,
   // values wrapping to tiny numbers silently shrink or inflate licenses.
-  EXPECT_THROW(Rights::parse(rights_doc_with_constraint(
+  EXPECT_THROW(parse_rights(rights_doc_with_constraint(
                    "<o-dd:count>99999999999999999999999</o-dd:count>")),
                Error);
 }
@@ -106,10 +124,10 @@ TEST(ParseOverflow, WrappingIntervalAndAccumulatedRejected) {
   for (const char* field : {"o-dd:interval", "o-dd:accumulated"}) {
     std::string doc = rights_doc_with_constraint(
         std::string("<") + field + ">18446744073709551616</" + field + ">");
-    EXPECT_THROW(Rights::parse(doc), Error) << field;
+    EXPECT_THROW(parse_rights(doc), Error) << field;
   }
   EXPECT_THROW(
-      Rights::parse(rights_doc_with_constraint(
+      parse_rights(rights_doc_with_constraint(
           "<o-dd:datetime><o-dd:start>340282366920938463463374607431768211456"
           "</o-dd:start></o-dd:datetime>")),
       Error);
@@ -117,14 +135,20 @@ TEST(ParseOverflow, WrappingIntervalAndAccumulatedRejected) {
 
 TEST(ParseOverflow, ExactU64MaxStillParses) {
   // The overflow guard must not reject the largest representable value.
-  Rights r = Rights::parse(rights_doc_with_constraint(
+  Rights r = parse_rights(rights_doc_with_constraint(
       "<o-dd:interval>18446744073709551615</o-dd:interval>"));
   EXPECT_EQ(*r.permissions[0].constraint.interval_secs,
             18446744073709551615ull);
 }
 
+TEST(ParseOverflow, CountAtU32MaxStillParses) {
+  Rights r = parse_rights(rights_doc_with_constraint(
+      "<o-dd:count>4294967295</o-dd:count>"));
+  EXPECT_EQ(*r.permissions[0].constraint.count, 4294967295u);
+}
+
 TEST(ParseOverflow, CountAboveU32StillRejected) {
-  EXPECT_THROW(Rights::parse(rights_doc_with_constraint(
+  EXPECT_THROW(parse_rights(rights_doc_with_constraint(
                    "<o-dd:count>4294967296</o-dd:count>")),
                Error);
 }

@@ -945,6 +945,54 @@ TEST_F(StoreBacked, MalformedImageRejectedWithoutGuttingAgent) {
             AgentStatus::kOk);
 }
 
+TEST_F(StoreBacked, OutOfRangeDomainGenerationRejected) {
+  setup_content("gen", 0, /*domain_ro=*/true);
+  ASSERT_EQ(device_->register_with(tx(), kNow), AgentStatus::kOk);
+  ASSERT_EQ(device_->join_domain(tx(), "ri.example", "domain:home", kNow),
+            AgentStatus::kOk);
+  MemoryStore ms;
+  ASSERT_TRUE(device_->bind_store(ms).ok());
+
+  // Rewrites the sealed dom/ record's generation attribute in place.
+  auto set_generation = [&](const std::string& generation) {
+    Result<std::vector<store::Record>> loaded = ms.load();
+    ASSERT_TRUE(loaded.ok());
+    for (const store::Record& rec : *loaded) {
+      if (rec.key != "dom/domain:home") continue;
+      std::string doc = to_string(rec.value);
+      const std::string_view old_attr = "generation=\"";
+      const std::size_t at = doc.find(old_attr);
+      ASSERT_NE(at, std::string::npos);
+      const std::size_t end = doc.find('"', at + old_attr.size());
+      doc.replace(at + old_attr.size(), end - at - old_attr.size(),
+                  generation);
+      Transaction tx;
+      tx.put(rec.key, to_bytes(doc));
+      ASSERT_TRUE(ms.commit(tx).ok());
+      return;
+    }
+    FAIL() << "no domain-key record";
+  };
+  auto reboot = [&] {
+    return DrmAgent::from_store(ms, device_->device_key(),
+                                ca_->root_certificate(),
+                                provider::plain_provider(), *rng_);
+  };
+
+  // The largest u32 generation still loads...
+  set_generation("4294967295");
+  auto top = reboot();
+  ASSERT_TRUE(top.ok()) << top.describe();
+  EXPECT_EQ(*top->domain_generation("domain:home"), 4294967295u);
+
+  // ...one past it is a corrupt record, not generation 0 (or 1 for
+  // 2^32 + 1) after a silent truncation.
+  set_generation("4294967296");
+  EXPECT_EQ(reboot().code(), StatusCode::kStoreCorrupt);
+  set_generation("4294967297");
+  EXPECT_EQ(reboot().code(), StatusCode::kStoreCorrupt);
+}
+
 TEST_F(StoreBacked, RefusedImportLeavesAgentAndStoreUntouched) {
   dcf::Dcf dcf = setup_content("impfail", 3);
   provision_ro("impfail");

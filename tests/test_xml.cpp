@@ -1,142 +1,186 @@
-// Tests for the XML DOM parser and serializer.
+// Tests for the XML parser (parse_in → Node) and serializer (Writer).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/error.h"
-#include "xml/xml.h"
+#include "xml/arena.h"
+#include "xml/node.h"
+#include "xml/writer.h"
 
 namespace omadrm::xml {
 namespace {
 
 using omadrm::Error;
 
-TEST(XmlBuild, AttributesAndChildren) {
-  Element root("rights");
-  root.set_attr("id", "ro-1");
-  root.set_attr("version", "2.0");
-  root.add_text_child("asset", "cid:song");
-  EXPECT_EQ(*root.attr("id"), "ro-1");
-  EXPECT_EQ(root.require_attr("version"), "2.0");
-  EXPECT_EQ(root.attr("missing"), nullptr);
-  EXPECT_THROW(root.require_attr("missing"), Error);
-  EXPECT_EQ(root.child_text("asset"), "cid:song");
-  EXPECT_THROW(root.require_child("nope"), Error);
+/// Number of element children of `n`.
+std::size_t child_count(const Node& n) {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const Node& c : n.children()) ++count;
+  return count;
 }
 
-TEST(XmlBuild, SetAttrOverwrites) {
-  Element e("x");
-  e.set_attr("k", "1");
-  e.set_attr("k", "2");
-  EXPECT_EQ(*e.attr("k"), "2");
-  EXPECT_EQ(e.attrs().size(), 1u);
+const Node* first_child(const Node& n) {
+  for (const Node& c : n.children()) return &c;
+  return nullptr;
 }
+
+// ---------------------------------------------------------------------------
+// Serialize (Writer) → parse (parse_in)
+// ---------------------------------------------------------------------------
 
 TEST(XmlSerialize, SelfClosingAndNested) {
-  Element root("a");
-  root.add_child(Element("b"));
-  Element c("c");
-  c.set_text("hi");
-  root.add_child(std::move(c));
-  EXPECT_EQ(root.serialize(), "<a><b/><c>hi</c></a>");
+  std::string out;
+  Writer w(out);
+  w.open("a");
+  w.open("b");
+  w.close();
+  w.text_element("c", "hi");
+  w.text_element("d", "");  // empty text keeps the self-closing form
+  w.close();
+  EXPECT_EQ(out, "<a><b/><c>hi</c><d/></a>");
 }
 
 TEST(XmlSerialize, EscapesSpecials) {
-  Element e("t");
-  e.set_text("a<b&c>d");
-  e.set_attr("q", "say \"hi\" & 'bye'");
-  std::string s = e.serialize();
+  std::string s;
+  Writer w(s);
+  w.open("t");
+  w.attr("q", "say \"hi\" & 'bye'");
+  w.text("a<b&c>d");
+  w.close();
   EXPECT_NE(s.find("a&lt;b&amp;c&gt;d"), std::string::npos);
   EXPECT_NE(s.find("&quot;hi&quot;"), std::string::npos);
-  Element back = parse(s);
+  Arena arena;
+  const Node& back = parse_in(arena, s);
   EXPECT_EQ(back.text(), "a<b&c>d");
   EXPECT_EQ(*back.attr("q"), "say \"hi\" & 'bye'");
 }
 
 TEST(XmlParse, BasicDocument) {
-  Element e = parse("<root a=\"1\" b='two'><kid>text</kid><kid2/></root>");
+  Arena arena;
+  const Node& e =
+      parse_in(arena, "<root a=\"1\" b='two'><kid>text</kid><kid2/></root>");
   EXPECT_EQ(e.name(), "root");
   EXPECT_EQ(*e.attr("a"), "1");
   EXPECT_EQ(*e.attr("b"), "two");
-  EXPECT_EQ(e.children().size(), 2u);
+  EXPECT_EQ(child_count(e), 2u);
   EXPECT_EQ(e.child_text("kid"), "text");
 }
 
 TEST(XmlParse, DeclarationCommentsAndWhitespace) {
-  Element e = parse(
-      "<?xml version=\"1.0\"?>\n"
-      "<!-- top comment -->\n"
-      "<doc>\n  <!-- inner -->\n  <x>1</x>\n</doc>\n");
+  Arena arena;
+  const Node& e = parse_in(arena,
+                           "<?xml version=\"1.0\"?>\n"
+                           "<!-- top comment -->\n"
+                           "<doc>\n  <!-- inner -->\n  <x>1</x>\n</doc>\n");
   EXPECT_EQ(e.name(), "doc");
-  EXPECT_EQ(e.children().size(), 1u);
+  EXPECT_EQ(child_count(e), 1u);
   EXPECT_EQ(e.text(), "");  // formatting whitespace dropped
 }
 
 TEST(XmlParse, Entities) {
-  Element e = parse("<t>&lt;tag&gt; &amp; &quot;x&quot; &apos;y&apos;</t>");
+  Arena arena;
+  const Node& e =
+      parse_in(arena, "<t>&lt;tag&gt; &amp; &quot;x&quot; &apos;y&apos;</t>");
   EXPECT_EQ(e.text(), "<tag> & \"x\" 'y'");
 }
 
 TEST(XmlParse, NumericCharacterReferences) {
-  Element e = parse("<t>&#65;&#x42;&#xe9;</t>");
+  Arena arena;
+  const Node& e = parse_in(arena, "<t>&#65;&#x42;&#xe9;</t>");
   EXPECT_EQ(e.text(), "AB\xc3\xa9");  // é in UTF-8
 }
 
 TEST(XmlParse, MixedContentKeepsText) {
-  Element e = parse("<t>hello <b>bold</b> world</t>");
-  EXPECT_EQ(e.children().size(), 1u);
+  Arena arena;
+  const Node& e = parse_in(arena, "<t>hello <b>bold</b> world</t>");
+  EXPECT_EQ(child_count(e), 1u);
   EXPECT_EQ(e.text(), "hello  world");
 }
 
 TEST(XmlParse, NamespacePrefixedNames) {
-  Element e = parse("<o-ex:rights o-ex:id=\"r1\"><o-dd:play/></o-ex:rights>");
+  Arena arena;
+  const Node& e =
+      parse_in(arena, "<o-ex:rights o-ex:id=\"r1\"><o-dd:play/></o-ex:rights>");
   EXPECT_EQ(e.name(), "o-ex:rights");
   EXPECT_EQ(*e.attr("o-ex:id"), "r1");
-  EXPECT_EQ(e.children()[0].name(), "o-dd:play");
+  EXPECT_EQ(first_child(e)->name(), "o-dd:play");
 }
 
 TEST(XmlParse, RejectsMalformed) {
-  EXPECT_THROW(parse(""), Error);
-  EXPECT_THROW(parse("<a>"), Error);
-  EXPECT_THROW(parse("<a></b>"), Error);
-  EXPECT_THROW(parse("<a x=1/>"), Error);          // unquoted attribute
-  EXPECT_THROW(parse("<a x=\"1\" x=\"2\"/>"), Error);  // duplicate attr
-  EXPECT_THROW(parse("<a>&bogus;</a>"), Error);
-  EXPECT_THROW(parse("<a/><b/>"), Error);          // two roots
-  EXPECT_THROW(parse("<a><![CDATA[x]]></a>"), Error);
-  EXPECT_THROW(parse("text only"), Error);
-  EXPECT_THROW(parse("<1bad/>"), Error);
+  for (const char* bad : {
+           "",
+           "<a>",
+           "<a></b>",
+           "<a x=1/>",                // unquoted attribute
+           "<a x=\"1\" x=\"2\"/>",    // duplicate attr
+           "<a>&bogus;</a>",
+           "<a/><b/>",                // two roots
+           "<a><![CDATA[x]]></a>",
+           "text only",
+           "<1bad/>",
+       }) {
+    Arena arena;
+    EXPECT_THROW(parse_in(arena, bad), Error) << bad;
+  }
 }
 
 TEST(XmlRoundTrip, StructurePreserved) {
-  Element root("o-ex:rights");
-  root.set_attr("o-ex:id", "ro42");
-  Element& agreement = root.add_child(Element("agreement"));
-  agreement.add_text_child("context", "cid:a&b");
-  Element& perm = agreement.add_child(Element("permission"));
-  perm.add_child(Element("play"));
+  std::string doc;
+  Writer w(doc);
+  w.open("o-ex:rights");
+  w.attr("o-ex:id", "ro42");
+  w.open("agreement");
+  w.text_element("context", "cid:a&b");
+  w.open("permission");
+  w.open("play");
+  w.close();
+  w.close();  // permission
+  w.close();  // agreement
+  w.close();  // o-ex:rights
 
-  Element back = parse(root.serialize());
-  EXPECT_EQ(back, root);
-  // Pretty-printing must round-trip to the same structure too.
-  EXPECT_EQ(parse(root.serialize(true)), root);
+  Arena arena;
+  const Node& back = parse_in(arena, doc);
+  EXPECT_EQ(back.name(), "o-ex:rights");
+  EXPECT_EQ(back.require_attr("o-ex:id"), "ro42");
+  ASSERT_EQ(child_count(back), 1u);
+  const Node& agreement = back.require_child("agreement");
+  EXPECT_EQ(agreement.child_text("context"), "cid:a&b");
+  const Node& perm = agreement.require_child("permission");
+  ASSERT_EQ(child_count(perm), 1u);
+  EXPECT_EQ(first_child(perm)->name(), "play");
+  EXPECT_EQ(first_child(perm)->text(), "");
 }
 
 TEST(XmlRoundTrip, DeepNesting) {
-  Element root("l0");
-  Element* cur = &root;
-  for (int i = 1; i < 40; ++i) {
-    cur = &cur->add_child(Element("l" + std::to_string(i)));
+  std::vector<std::string> names;
+  for (int i = 0; i < 40; ++i) names.push_back("l" + std::to_string(i));
+  std::string doc;
+  Writer w(doc);
+  for (const std::string& n : names) w.open(n);
+  w.text("deep");
+  for (std::size_t i = 0; i < names.size(); ++i) w.close();
+
+  Arena arena;
+  const Node* n = &parse_in(arena, doc);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_NE(n, nullptr);
+    EXPECT_EQ(n->name(), names[i]);
+    if (i + 1 < names.size()) n = first_child(*n);
   }
-  cur->set_text("deep");
-  Element back = parse(root.serialize());
-  EXPECT_EQ(back, root);
+  EXPECT_EQ(n->text(), "deep");
 }
 
 TEST(XmlChildren, NamedLookup) {
-  Element e = parse("<r><x>1</x><y>2</y><x>3</x></r>");
-  auto xs = e.children_named("x");
+  Arena arena;
+  const Node& e = parse_in(arena, "<r><x>1</x><y>2</y><x>3</x></r>");
+  std::vector<std::string_view> xs;
+  for (const Node* x : e.children_named("x")) xs.push_back(x->text());
   ASSERT_EQ(xs.size(), 2u);
-  EXPECT_EQ(xs[0]->text(), "1");
-  EXPECT_EQ(xs[1]->text(), "3");
+  EXPECT_EQ(xs[0], "1");
+  EXPECT_EQ(xs[1], "3");
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +198,7 @@ TEST(NodeParse, BasicDocumentAndLookup) {
   EXPECT_EQ(n.require_attr("b"), "two");
   EXPECT_EQ(n.attr("missing"), nullptr);
   EXPECT_THROW(n.require_attr("missing"), Error);
-  EXPECT_EQ(n.child_count(), 3u);
+  EXPECT_EQ(child_count(n), 3u);
   EXPECT_EQ(n.child_text("kid"), "text");
   EXPECT_THROW(n.require_child("nope"), Error);
   std::size_t kids = 0;
@@ -225,7 +269,7 @@ TEST(NodeParse, DeepNestingWithinLimit) {
   for (int i = 0; i < depth; ++i) doc += "</d>";
   Arena arena;
   const Node* n = &parse_in(arena, doc);
-  for (int i = 1; i < depth; ++i) n = n->first_child();
+  for (int i = 1; i < depth; ++i) n = first_child(*n);
   EXPECT_EQ(n->text(), "x");
 }
 
@@ -234,8 +278,6 @@ TEST(NodeParse, PathologicalNestingRejectedNotCrash) {
   for (int i = 0; i < 5000; ++i) doc += "<d>";
   Arena arena;
   EXPECT_THROW(parse_in(arena, doc), Error);
-  // The Element entry point rides the same core and is equally safe.
-  EXPECT_THROW(parse(doc), Error);
 }
 
 TEST(NodeParse, TruncationFuzzEveryOffset) {
@@ -289,24 +331,6 @@ TEST(XmlWriter, ReusesBufferCapacity) {
   EXPECT_EQ(out.capacity(), cap);
 }
 
-TEST(XmlWriter, MatchesElementSerialization) {
-  Element root("o-ex:rights");
-  root.set_attr("o-ex:id", "ro&1");
-  Element& kid = root.add_child(Element("kid"));
-  kid.set_text("a<b");
-  root.add_child(Element("empty"));
-
-  std::string streamed;
-  Writer w(streamed);
-  w.open("o-ex:rights");
-  w.attr("o-ex:id", "ro&1");
-  w.text_element("kid", "a<b");
-  w.open("empty");
-  w.close();
-  w.close();
-  EXPECT_EQ(streamed, root.serialize());
-}
-
 TEST(XmlWriter, MisuseThrows) {
   std::string out;
   Writer w(out);
@@ -325,10 +349,16 @@ TEST(XmlWriter, MisuseThrows) {
 // ---------------------------------------------------------------------------
 
 TEST(XmlEscape, ControlCharactersRoundTripByteExact) {
-  Element e("t");
-  e.set_text("line1\r\nline2");
-  e.set_attr("q", "tab\there\r\nnext");
-  const std::string wire = e.serialize();
+  auto write = [](std::string_view text, std::string_view q) {
+    std::string out;
+    Writer w(out);
+    w.open("t");
+    w.attr("q", q);
+    w.text(text);
+    w.close();
+    return out;
+  };
+  const std::string wire = write("line1\r\nline2", "tab\there\r\nnext");
   // \r in text and \r \n \t in attributes must travel as character
   // references, never as raw bytes a normalizing parser would mangle.
   EXPECT_EQ(wire.find('\r'), std::string::npos);
@@ -336,11 +366,12 @@ TEST(XmlEscape, ControlCharactersRoundTripByteExact) {
   EXPECT_NE(wire.find("&#10;"), std::string::npos);
   EXPECT_NE(wire.find("&#9;"), std::string::npos);
 
-  Element back = parse(wire);
+  Arena arena;
+  const Node& back = parse_in(arena, wire);
   EXPECT_EQ(back.text(), "line1\r\nline2");
   EXPECT_EQ(*back.attr("q"), "tab\there\r\nnext");
   // Serialize → parse → serialize is a fixed point.
-  EXPECT_EQ(back.serialize(), wire);
+  EXPECT_EQ(write(back.text(), *back.attr("q")), wire);
 }
 
 TEST(XmlEscape, ReserveIsExact) {
