@@ -3,7 +3,6 @@
 #include "common/error.h"
 #include "crypto/modes.h"
 #include "crypto/sha1.h"
-#include "dcf/dcf_reader.h"
 
 namespace omadrm::dcf {
 
@@ -66,27 +65,6 @@ Bytes Dcf::serialize() const {
   return out;
 }
 
-// One parser for the format: the zero-copy DcfReader walks the wire and
-// this owned variant copies out of its views — the two paths cannot
-// drift, and the reader's single-pass hash seeds the cache for free.
-Dcf Dcf::parse(ByteView data) {
-  DcfReader r = DcfReader::parse(data);
-  Dcf out;
-  out.headers_.content_type = std::string(r.content_type());
-  out.headers_.content_id = std::string(r.content_id());
-  out.headers_.rights_issuer_url = std::string(r.rights_issuer_url());
-  out.headers_.textual.reserve(r.textual().size());
-  for (const auto& [k, v] : r.textual()) {
-    out.headers_.textual.emplace_back(std::string(k), std::string(v));
-  }
-  out.iv_ = Bytes(r.iv().begin(), r.iv().end());
-  out.plaintext_size_ = r.plaintext_size();
-  out.payload_ =
-      Bytes(r.encrypted_payload().begin(), r.encrypted_payload().end());
-  out.hash_cache_ = Bytes(r.hash().begin(), r.hash().end());
-  return out;
-}
-
 std::size_t Dcf::serialized_size() const {
   std::size_t n = 4 + 1;  // magic + version
   n += 2 + headers_.content_type.size();
@@ -104,12 +82,6 @@ const Bytes& Dcf::hash() const {
     hash_cache_ = crypto::Sha1::hash(serialize());
   }
   return hash_cache_;
-}
-
-bool Dcf::operator==(const Dcf& other) const {
-  return headers_ == other.headers_ && iv_ == other.iv_ &&
-         payload_ == other.payload_ &&
-         plaintext_size_ == other.plaintext_size_;
 }
 
 Dcf make_dcf(Headers headers, ByteView plaintext, ByteView kcek,

@@ -29,10 +29,10 @@ struct Headers {
   std::string content_id;         // e.g. "cid:track-42@content.example"
   std::string rights_issuer_url;  // where to acquire an RO
   std::vector<std::pair<std::string, std::string>> textual;
-
-  bool operator==(const Headers&) const = default;
 };
 
+/// The Content Issuer's side of the format: builds, serializes and
+/// hashes a container. Reading one back is DcfReader's job (dcf_reader.h).
 class Dcf {
  public:
   Dcf() = default;
@@ -48,7 +48,6 @@ class Dcf {
   Bytes serialize() const;
   /// serialize()'s output size, computed without serializing.
   std::size_t serialized_size() const;
-  static Dcf parse(ByteView data);
 
   /// SHA-1 over the serialized container — the value embedded in Rights
   /// Objects to bind license and content. Computed lazily on first call
@@ -56,8 +55,6 @@ class Dcf {
   /// per-access integrity checks stop re-serializing multi-megabyte
   /// payloads. Not thread-safe, like the rest of the class.
   const Bytes& hash() const;
-
-  bool operator==(const Dcf& other) const;
 
  private:
   Headers headers_;

@@ -1,11 +1,10 @@
-// DcfReader — zero-copy access to a serialized DCF container.
+// DcfReader — zero-copy access to a serialized DCF container, and the
+// format's only decoder.
 //
-// Dcf::parse copies every header and the (potentially multi-megabyte)
-// payload into owned buffers, and the container hash used for RO binding
-// historically required re-serializing the whole thing. That is fine for
-// packaging tools; it is the wrong shape for a player that opens the same
-// container on every access. DcfReader walks the serialized bytes once:
-// headers come out as string_views aliasing the wire, the IV and the
+// A player opens the same, potentially multi-megabyte, container on
+// every access, so copying it into owned buffers, or re-serializing it
+// to hash it, is the wrong shape. DcfReader walks the serialized bytes
+// once: headers come out as string_views aliasing the wire, the IV and the
 // encrypted payload as ByteViews, and SHA-1 over the container — the
 // value a Rights Object binds to — falls out of the same pass through the
 // incremental Sha1 API. No re-serialization, no payload copy, ever.
@@ -29,7 +28,8 @@ namespace omadrm::dcf {
 class DcfReader {
  public:
   /// Parses a serialized container in place. Throws omadrm::Error(kFormat)
-  /// on malformed input — same failure cases as Dcf::parse.
+  /// on malformed input: bad magic or version, a length running past the
+  /// end, or bytes left over after the payload.
   static DcfReader parse(ByteView wire);
 
   std::string_view content_type() const { return content_type_; }
@@ -50,9 +50,6 @@ class DcfReader {
   /// SHA-1 over the container bytes — identical to Dcf::hash(), computed
   /// once during parse.
   ByteView hash() const { return ByteView(hash_, crypto::Sha1::kDigestSize); }
-
-  /// Owned deep copy for callers that outlive the wire buffer.
-  Dcf to_dcf() const { return Dcf::parse(wire_); }
 
  private:
   DcfReader() = default;

@@ -1,24 +1,25 @@
 // ri_server core: event-loop TCP front end + worker pool over a
-// ConcurrentIssuer.
+// RightsIssuer.
 //
 // Threading model (one acceptor/IO thread + N workers):
 //
-//   event loop   owns every fd. epoll (poll(2) fallback) over the
-//                listen socket, a wakeup pipe, and all connections.
-//                Accepts (up to max_connections, excess closed on
-//                arrival), reads into per-connection FrameDecoders —
-//                partial frames simply stay buffered, the read state
-//                machine *is* the decoder — and enqueues one job per
-//                complete frame. All fd writes happen here too: worker
-//                replies land in the connection's outbox and the loop
-//                flushes it, arming write-readiness only while bytes
-//                remain (the partial-write state machine).
+//   event loop   owns every fd. One epoll set over the listen socket, a
+//                wakeup pipe, and all connections. Accepts (up to
+//                max_connections, excess closed on arrival), reads into
+//                per-connection FrameDecoders — partial frames simply
+//                stay buffered, the read state machine *is* the decoder —
+//                and enqueues one job per complete frame. All fd writes
+//                happen here too: worker replies land in the
+//                connection's outbox and the loop flushes it, arming
+//                write-readiness only while bytes remain (the
+//                partial-write state machine).
 //   workers      pop jobs from the shared MPMC queue (mutex+condvar),
 //                parse the payload into an Envelope, call
-//                ConcurrentIssuer::handle, frame the reply. A request
-//                the issuer refuses to parse becomes an error frame
-//                (kErrorFrameType + reason) instead of a dead air —
-//                clients see a retriable refusal, not a timeout.
+//                RightsIssuer::handle (thread-safe: the RI is sharded by
+//                device), frame the reply. A request the issuer refuses
+//                to parse becomes an error frame (kErrorFrameType +
+//                reason) instead of a dead air — clients see a retriable
+//                refusal, not a timeout.
 //
 // Overload protection (all knobs on Config): the job queue is bounded —
 // a frame arriving over max_queue_depth (or over the per-connection
@@ -58,34 +59,11 @@
 
 #include "common/ordered_mutex.h"
 #include "common/thread_annotations.h"
-#include "net/concurrent_issuer.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "ri/rights_issuer.h"
 
 namespace omadrm::net {
-
-/// Readiness-notification seam: epoll on Linux, poll(2) everywhere (and
-/// under test, so both implementations run the same suite).
-class Poller {
- public:
-  struct Event {
-    int fd = -1;
-    bool readable = false;
-    bool writable = false;
-    bool hangup = false;
-  };
-
-  virtual ~Poller() = default;
-  virtual void add(int fd, bool want_write) = 0;
-  virtual void update(int fd, bool want_write) = 0;
-  virtual void remove(int fd) = 0;
-  /// Blocks up to timeout_ms; fills `out` with ready fds.
-  virtual void wait(std::vector<Event>& out, int timeout_ms) = 0;
-};
-
-/// nullptr when the platform has no epoll.
-std::unique_ptr<Poller> make_epoll_poller();
-std::unique_ptr<Poller> make_poll_poller();
 
 class RiServer {
  public:
@@ -124,8 +102,6 @@ class RiServer {
     /// validation, session TTLs) — the repo's virtual protocol time,
     /// distinct from the monotonic clock that paces socket timeouts.
     std::uint64_t now = 0;
-    /// false forces the poll(2) event loop even where epoll exists.
-    bool use_epoll = true;
   };
 
   struct Stats {
@@ -143,7 +119,7 @@ class RiServer {
     std::atomic<std::uint64_t> stalled_closed{0};  // read-progress timeouts
   };
 
-  RiServer(ConcurrentIssuer& issuer, Config config);
+  RiServer(ri::RightsIssuer& issuer, Config config);
   ~RiServer();
 
   RiServer(const RiServer&) = delete;
@@ -194,6 +170,9 @@ class RiServer {
   };
 
   void event_loop();
+  /// epoll_ctl(op) on `fd` with read interest, plus write interest while
+  /// an outbox holds unflushed bytes.
+  void watch(int op, int fd, bool want_write);
   void worker_loop();
   void accept_ready();
   void read_ready(const std::shared_ptr<Conn>& conn);
@@ -207,14 +186,14 @@ class RiServer {
   void deliver(const std::shared_ptr<Conn>& conn, const std::string& bytes);
   void wake();
 
-  ConcurrentIssuer& issuer_;
+  ri::RightsIssuer& issuer_;
   Config config_;
   Stats stats_;
 
   Socket listen_;
   std::uint16_t port_ = 0;
   Socket wake_read_, wake_write_;  // self-pipe: workers poke the loop
-  std::unique_ptr<Poller> poller_;
+  Socket epoll_;                   // the event loop's epoll set
 
   std::thread loop_thread_;
   std::vector<std::thread> workers_;
@@ -239,5 +218,13 @@ class RiServer {
   OrderedMutex replies_mu_{LockRank::kNetReplies, "net.replies"};
   std::deque<std::shared_ptr<Conn>> replies_ GUARDED_BY(replies_mu_);
 };
+
+/// Renders the `--stats` block ri_server prints on exit: a fleet summary
+/// line followed by one line per non-idle shard with its exchange,
+/// contention, and replay-cache hit-rate counters. The summary's
+/// exchanges/contended are the shard totals, so a request refused
+/// before it reached a shard is not among them (RiServer::Stats counts
+/// it as a refusal). Format is covered by test_net.cpp.
+std::string format_issuer_stats(const ri::RightsIssuer& issuer);
 
 }  // namespace omadrm::net

@@ -220,9 +220,10 @@ TEST_F(DrmEcosystem, TamperedDcfFailsHashCheck) {
   ASSERT_EQ(acq, AgentStatus::kOk);
   ASSERT_EQ(device_->install_ro(*acq, kNow), AgentStatus::kOk);
 
-  Bytes wire = dcf.serialize();
-  wire[wire.size() - 1] ^= 1;  // flip a payload byte
-  dcf::Dcf tampered = dcf::Dcf::parse(wire);
+  Bytes payload = dcf.encrypted_payload();
+  payload.back() ^= 1;  // flip the container's last byte
+  const dcf::Dcf tampered(dcf.headers(), dcf.iv(), std::move(payload),
+                          dcf.plaintext_size());
   agent::ConsumeResult r =
       device_->consume(tampered, rel::PermissionType::kPlay, kNow);
   EXPECT_EQ(r.status, AgentStatus::kDcfHashMismatch);

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdlib>
+#include <fcntl.h>
 #include <poll.h>
 #include <pthread.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -23,7 +27,6 @@
 #include "agent/drm_agent.h"
 #include "common/error.h"
 #include "common/random.h"
-#include "net/concurrent_issuer.h"
 #include "net/frame.h"
 #include "net/realm.h"
 #include "net/server.h"
@@ -232,9 +235,9 @@ Realm& shared_realm() {
 }
 
 struct ServerHarness {
-  explicit ServerHarness(RiServer::Config config = {}) : issuer(shared_realm().issuer()) {
+  explicit ServerHarness(RiServer::Config config = {}) {
     config.now = kRealmNow;
-    server = std::make_unique<RiServer>(issuer, config);
+    server = std::make_unique<RiServer>(shared_realm().issuer(), config);
     server->start();
   }
   SocketTransport::Config client_config() const {
@@ -242,7 +245,6 @@ struct ServerHarness {
     tc.port = server->port();
     return tc;
   }
-  ConcurrentIssuer issuer;
   std::unique_ptr<RiServer> server;
 };
 
@@ -367,9 +369,8 @@ std::size_t open_fd_count() {
 }
 #endif
 
-void run_concurrent_fleet(bool use_epoll) {
+TEST(RiServer, ConcurrentFleet) {
   RiServer::Config sc;
-  sc.use_epoll = use_epoll;
   sc.workers = 3;
   ServerHarness h(sc);
 
@@ -378,7 +379,7 @@ void run_concurrent_fleet(bool use_epoll) {
   std::vector<std::unique_ptr<agent::DrmAgent>> agents;
   for (std::size_t i = 0; i < kAgents; ++i) {
     agents.push_back(shared_realm().make_agent(
-        "dev:life-" + std::string(use_epoll ? "e" : "p") + std::to_string(i)));
+        "dev:life-" + std::to_string(i)));
   }
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -417,9 +418,6 @@ void run_concurrent_fleet(bool use_epoll) {
   EXPECT_EQ(h.server->active_connections(), 0u);
 }
 
-TEST(RiServer, ConcurrentFleetEpoll) { run_concurrent_fleet(true); }
-TEST(RiServer, ConcurrentFleetPollFallback) { run_concurrent_fleet(false); }
-
 TEST(RiServer, GracefulStopIsIdempotentAndPortIsReusable) {
 #ifdef __linux__
   const std::size_t fds_before = open_fd_count();
@@ -437,11 +435,10 @@ TEST(RiServer, GracefulStopIsIdempotentAndPortIsReusable) {
     EXPECT_FALSE(h.server->running());
 
     // Same port is immediately reusable (SO_REUSEADDR + clean close).
-    ConcurrentIssuer issuer2(shared_realm().issuer());
     RiServer::Config sc;
     sc.port = port;
     sc.now = kRealmNow;
-    RiServer second(issuer2, sc);
+    RiServer second(shared_realm().issuer(), sc);
     second.start();
     EXPECT_EQ(second.port(), port);
     SocketTransport t2(t.config());
@@ -706,22 +703,26 @@ TEST(Socket, TransfersSurviveAnEintrSignalStorm) {
   ASSERT_EQ(::sigaction(SIGUSR1, &old, nullptr), 0);
 }
 
-TEST(ConcurrentIssuer, CountsExchangesAndSurvivesHammering) {
-  ConcurrentIssuer issuer(shared_realm().issuer());
-  ServerHarness* h = nullptr;  // not needed; hammer the wrapper directly
-  (void)h;
+std::uint64_t total_shard_exchanges(const ri::RightsIssuer& issuer) {
+  std::uint64_t n = 0;
+  for (const auto& sh : issuer.shard_stats()) n += sh.exchanges;
+  return n;
+}
+
+TEST(RightsIssuerHandle, HammeredNonRequestsAreRefusedBeforeAnyShard) {
+  ri::RightsIssuer& issuer = shared_realm().issuer();
   auto dev = shared_realm().make_agent("dev:hammer");
-  roap::InProcessTransport loop(shared_realm().issuer(), kRealmNow);
+  roap::InProcessTransport loop(issuer, kRealmNow);
   roap::RetryPolicy policy;
   ASSERT_TRUE(dev->register_with(loop, kRealmNow, policy).ok());
-  const auto before = issuer.stats().exchanges;
+  const std::uint64_t before = total_shard_exchanges(issuer);
   std::vector<std::thread> threads;
   std::atomic<int> refused{0};
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([&] {
       for (int k = 0; k < 8; ++k) {
-        // Unparseable content must come back as a thrown refusal, and the
-        // lock must serialize all of it without tearing RI state.
+        // A response-type envelope is no request: handle() must throw on
+        // every worker at once, without touching shard state.
         try {
           (void)issuer.handle(roap::Envelope::from_wire(
                                   "<roap:roResponse xmlns:roap=\"x\"/>"),
@@ -733,28 +734,31 @@ TEST(ConcurrentIssuer, CountsExchangesAndSurvivesHammering) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(issuer.stats().exchanges - before, 32u);
-  // The RI behind the wrapper still serves honest traffic.
+  EXPECT_EQ(refused.load(), 32);
+  EXPECT_EQ(total_shard_exchanges(issuer), before);
+  // The RI still serves honest traffic.
   ASSERT_TRUE(dev->acquire_ro(loop, kRealmRiId, kRealmRoId, kRealmNow,
                               policy)
                   .ok());
+  EXPECT_GT(total_shard_exchanges(issuer), before);
 }
 
-TEST(ConcurrentIssuer, StatsBlockFormatsIssuerAndPerShardLines) {
+TEST(IssuerStats, StatsBlockFormatsIssuerAndPerShardLines) {
   // The format `ri_server --stats` prints: one aggregate line, then one
   // line per shard that actually saw traffic (idle shards elided). A
   // private realm keeps the shard population deterministic: one device
   // registers, so exactly one shard line must appear.
   Realm realm(0xFACE);
-  ConcurrentIssuer issuer(realm.issuer());
   auto dev = realm.make_agent("dev:stats-format");
   roap::InProcessTransport loop(realm.issuer(), kRealmNow);
   roap::RetryPolicy policy;
   ASSERT_TRUE(dev->register_with(loop, kRealmNow, policy).ok());
 
-  const std::string block = format_issuer_stats(issuer);
+  const std::string block = format_issuer_stats(realm.issuer());
   // Aggregate header with every counter the ops runbook greps for.
   EXPECT_EQ(block.rfind("issuer: exchanges=", 0), 0u) << block;
+  // The fleet line sums the shards: a registration is two exchanges.
+  EXPECT_EQ(block.rfind("issuer: exchanges=2 contended=0 ", 0), 0u) << block;
   for (const char* field :
        {" contended=", " replay_hits=", " replay_misses=", " hit_rate="}) {
     EXPECT_NE(block.find(field), std::string::npos) << block;
@@ -772,6 +776,64 @@ TEST(ConcurrentIssuer, StatsBlockFormatsIssuerAndPerShardLines) {
   }
   EXPECT_EQ(shard_lines, 1u);
   EXPECT_EQ(block.back(), '\n');
+}
+
+// ---------------------------------------------------------------------------
+// ri_server command line
+// ---------------------------------------------------------------------------
+
+const char* server_binary() {
+  const char* env = ::getenv("RI_SERVER_BIN");
+  return env != nullptr ? env : "./ri_server";  // ctest runs in build dir
+}
+
+/// Runs `ri_server args...` with its output discarded and returns its
+/// exit code; -1 when it did not exit within 5 s (it accepted the flags
+/// and is listening) and was killed.
+int ri_server_exit_code(const std::vector<std::string>& args) {
+  std::vector<std::string> all = {server_binary()};
+  all.insert(all.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& a : all) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0) return -2;
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(devnull, STDERR_FILENO);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  const std::uint64_t deadline = steady_ms() + 5000;
+  int status = 0;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (steady_ms() >= deadline) {
+      ::kill(pid, SIGKILL);
+      (void)::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(RiServerFlags, MalformedNumbersExitWithUsage) {
+  if (::access(server_binary(), X_OK) != 0) {
+    GTEST_SKIP() << "ri_server binary not found at " << server_binary();
+  }
+  const std::vector<std::vector<std::string>> cases = {
+      {"--port", "70000"},  // past u16: was truncated to 4464
+      {"--port", "12ab"},   // suffix: was read as 12
+      {"--port", ""},
+      {"--workers", "two"},
+      {"--workers", "0"},
+      {"--seed", "-1"},     // sign: was wrapped to 2^64-1
+      {"--drain-timeout-ms", "4294967296"},  // past 32 bits of ms
+  };
+  for (const auto& args : cases) {
+    EXPECT_EQ(ri_server_exit_code(args), 2) << args[0] << " '" << args[1] << "'";
+  }
 }
 
 }  // namespace

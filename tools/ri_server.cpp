@@ -15,6 +15,11 @@
 // drain: stop accepting, answer everything already accepted, flush,
 // exit 0. A second signal exits immediately.
 //
+// Every numeric flag is a plain decimal: a sign, a suffix, a value past
+// its field (--port above 65535, a *-ms value above 2^32-1) or a
+// --workers outside 1..1024 prints the usage line and exits 2 instead of
+// being wrapped or truncated into some other number.
+//
 // Overload/robustness knobs: --max-queue-depth / --max-inflight /
 // --max-outbox-bytes / --read-progress-timeout-ms map straight onto
 // RiServer::Config (0 disables each cap). --store-dir persists the RI's
@@ -29,19 +34,20 @@
 //             [--idle-timeout-ms N] [--drain-timeout-ms N] [--seed N]
 //             [--max-queue-depth N] [--max-inflight N]
 //             [--max-outbox-bytes N] [--read-progress-timeout-ms N]
-//             [--store-dir DIR] [--failpoint SITE=SPEC]...
-//             [--poll] [--stats]
+//             [--store-dir DIR] [--failpoint SITE=SPEC]... [--stats]
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "common/bytes.h"
 #include "common/failpoint.h"
-#include "net/concurrent_issuer.h"
 #include "net/realm.h"
 #include "net/server.h"
 #include "store/file_store.h"
@@ -49,6 +55,10 @@
 #include "store/state_store.h"
 
 namespace {
+
+// Each worker is an OS thread; a count past this is a typo, not a
+// deployment, and must not reach start().
+constexpr std::uint64_t kMaxWorkers = 1024;
 
 volatile std::sig_atomic_t g_signals = 0;
 
@@ -61,7 +71,7 @@ int usage(const char* argv0) {
                "[--drain-timeout-ms N] [--seed N] [--max-queue-depth N] "
                "[--max-inflight N] [--max-outbox-bytes N] "
                "[--read-progress-timeout-ms N] [--store-dir DIR] "
-               "[--failpoint SITE=SPEC]... [--poll] [--stats]\n",
+               "[--failpoint SITE=SPEC]... [--stats]\n",
                argv0);
   return 2;
 }
@@ -77,55 +87,61 @@ int main(int argc, char** argv) {
   bool print_stats = false;
   std::string store_dir;
 
+  // Upper bounds per field. Millisecond values stay within 32 bits so
+  // deadline sums on the 64-bit monotonic clock cannot wrap.
+  constexpr std::uint64_t kMs = UINT32_MAX;
+  constexpr std::uint64_t kSize = SIZE_MAX;
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
+    const char* flag = argv[i];
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", flag);
         std::exit(2);
       }
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--port") == 0) {
-      config.port = static_cast<std::uint16_t>(std::atoi(next("--port")));
-    } else if (std::strcmp(argv[i], "--host") == 0) {
-      config.bind_address = next("--host");
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      config.workers = static_cast<std::size_t>(std::atoi(next("--workers")));
-    } else if (std::strcmp(argv[i], "--max-connections") == 0) {
-      config.max_connections =
-          static_cast<std::size_t>(std::atoi(next("--max-connections")));
-    } else if (std::strcmp(argv[i], "--idle-timeout-ms") == 0) {
-      config.idle_timeout_ms =
-          static_cast<std::uint64_t>(std::atoll(next("--idle-timeout-ms")));
-    } else if (std::strcmp(argv[i], "--drain-timeout-ms") == 0) {
-      config.drain_timeout_ms =
-          static_cast<std::uint64_t>(std::atoll(next("--drain-timeout-ms")));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
-    } else if (std::strcmp(argv[i], "--max-queue-depth") == 0) {
-      config.max_queue_depth =
-          static_cast<std::size_t>(std::atoll(next("--max-queue-depth")));
-    } else if (std::strcmp(argv[i], "--max-inflight") == 0) {
-      config.max_inflight_per_conn =
-          static_cast<std::size_t>(std::atoll(next("--max-inflight")));
-    } else if (std::strcmp(argv[i], "--max-outbox-bytes") == 0) {
-      config.max_outbox_bytes =
-          static_cast<std::size_t>(std::atoll(next("--max-outbox-bytes")));
-    } else if (std::strcmp(argv[i], "--read-progress-timeout-ms") == 0) {
-      config.read_progress_timeout_ms = static_cast<std::uint64_t>(
-          std::atoll(next("--read-progress-timeout-ms")));
-    } else if (std::strcmp(argv[i], "--store-dir") == 0) {
-      store_dir = next("--store-dir");
-    } else if (std::strcmp(argv[i], "--failpoint") == 0) {
+    // The flag's value as a decimal in [min, max], or usage + exit 2.
+    auto number = [&](std::uint64_t min, std::uint64_t max) {
+      const char* text = next();
+      const std::optional<std::uint64_t> v = parse_u64_dec(text);
+      if (!v || *v < min || *v > max) {
+        std::fprintf(stderr, "ri_server: bad %s value '%s'\n", flag, text);
+        std::exit(usage(argv[0]));
+      }
+      return *v;
+    };
+    if (std::strcmp(flag, "--port") == 0) {
+      config.port = static_cast<std::uint16_t>(number(0, UINT16_MAX));
+    } else if (std::strcmp(flag, "--host") == 0) {
+      config.bind_address = next();
+    } else if (std::strcmp(flag, "--workers") == 0) {
+      config.workers = number(1, kMaxWorkers);
+    } else if (std::strcmp(flag, "--max-connections") == 0) {
+      config.max_connections = number(0, kSize);
+    } else if (std::strcmp(flag, "--idle-timeout-ms") == 0) {
+      config.idle_timeout_ms = number(0, kMs);
+    } else if (std::strcmp(flag, "--drain-timeout-ms") == 0) {
+      config.drain_timeout_ms = number(0, kMs);
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      seed = number(0, UINT64_MAX);
+    } else if (std::strcmp(flag, "--max-queue-depth") == 0) {
+      config.max_queue_depth = number(0, kSize);
+    } else if (std::strcmp(flag, "--max-inflight") == 0) {
+      config.max_inflight_per_conn = number(0, kSize);
+    } else if (std::strcmp(flag, "--max-outbox-bytes") == 0) {
+      config.max_outbox_bytes = number(0, kSize);
+    } else if (std::strcmp(flag, "--read-progress-timeout-ms") == 0) {
+      config.read_progress_timeout_ms = number(0, kMs);
+    } else if (std::strcmp(flag, "--store-dir") == 0) {
+      store_dir = next();
+    } else if (std::strcmp(flag, "--failpoint") == 0) {
       try {
-        failpoint::arm_from_spec(next("--failpoint"));
+        failpoint::arm_from_spec(next());
       } catch (const Error& e) {
         std::fprintf(stderr, "ri_server: bad --failpoint: %s\n", e.what());
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--poll") == 0) {
-      config.use_epoll = false;
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
+    } else if (std::strcmp(flag, "--stats") == 0) {
       print_stats = true;
     } else {
       return usage(argv[0]);
@@ -164,8 +180,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  net::ConcurrentIssuer issuer(realm.issuer());
-  net::RiServer server(issuer, config);
+  net::RiServer server(realm.issuer(), config);
   try {
     server.start();
   } catch (const Error& e) {
@@ -183,12 +198,10 @@ int main(int argc, char** argv) {
 
   if (print_stats) {
     const net::RiServer::Stats& st = server.stats();
-    const net::ConcurrentIssuer::Stats is = issuer.stats();
     std::fprintf(stderr,
                  "ri_server: accepted=%llu rejected=%llu closed=%llu "
                  "idle_closed=%llu frames_in=%llu served=%llu refusals=%llu "
-                 "desyncs=%llu shed=%llu slow_reader=%llu stalled=%llu "
-                 "exchanges=%llu contended=%llu\n",
+                 "desyncs=%llu shed=%llu slow_reader=%llu stalled=%llu\n",
                  static_cast<unsigned long long>(st.accepted.load()),
                  static_cast<unsigned long long>(st.rejected.load()),
                  static_cast<unsigned long long>(st.closed.load()),
@@ -199,13 +212,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(st.frame_desyncs.load()),
                  static_cast<unsigned long long>(st.shed.load()),
                  static_cast<unsigned long long>(st.slow_reader_closed.load()),
-                 static_cast<unsigned long long>(st.stalled_closed.load()),
-                 static_cast<unsigned long long>(is.exchanges),
-                 static_cast<unsigned long long>(is.contended));
-    // Per-shard breakdown (exchanges, lock contention, replay hit rates)
+                 static_cast<unsigned long long>(st.stalled_closed.load()));
+    // Fleet and per-shard exchanges, lock contention and replay hit rates,
     // so "which shard is hot" is observable, not inferred. Format owned
     // by net::format_issuer_stats and covered by test_net.
-    std::fputs(net::format_issuer_stats(issuer).c_str(), stderr);
+    std::fputs(net::format_issuer_stats(realm.issuer()).c_str(), stderr);
   }
   return 0;
 }
